@@ -246,13 +246,21 @@ def validate_solution(
     endpoints: Mapping[int, tuple[Coord, Coord]] | Sequence[tuple[Coord, Coord]] | None = None,
 ) -> list[str]:
     """Check each path and every pair under full collision semantics,
-    including indefinite goal stays up to the global makespan. Returns the
-    violations found; an empty list means the solution is valid.
+    including indefinite goal stays up to the global makespan. Every path
+    must start at t=0, and with ``endpoints`` every listed agent must have a
+    path. Returns the violations found; an empty list means the solution is
+    valid.
     """
     items = list(paths.values()) if isinstance(paths, Mapping) else list(paths)
     violations: list[str] = []
+    if endpoints is not None:
+        have = {path.agent for path in items}
+        listed = endpoints.keys() if isinstance(endpoints, Mapping) else range(len(endpoints))
+        violations += [f"agent {a}: no path" for a in listed if a not in have]
     for path in items:
         a = path.agent
+        if path.start_time != 0:
+            violations.append(f"agent {a}: starts at t={path.start_time}, expected t=0")
         for x, y, t in path.states:
             if not grid.is_free((x, y)):
                 violations.append(f"agent {a}: state ({x}, {y}, {t}) blocked or out of bounds")

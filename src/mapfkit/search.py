@@ -147,13 +147,17 @@ class ReservationTable:
 
 
 class ReverseResumableAStar:
-    """Exact distance-to-goal on the static map, computed lazily (RRA*).
+    """Exact distance-to-goal on the static map, computed lazily (RRA*,
+    Silver, "Cooperative Pathfinding", AIIDE 2005).
 
-    A backward best-first search from the goal is resumed on demand: a query
-    for an already-settled cell is a dictionary lookup; otherwise the search
-    continues, guided toward the queried cell, until that cell settles or
-    the reachable region is exhausted. Settled distances are exact, so this
-    is an admissible and consistent space-time heuristic.
+    One backward A* runs from the goal toward the first cell it is asked
+    about; every caller asks about the searching agent's start first. Its
+    heap and best-g map persist across queries: a query for a settled cell
+    is a dictionary lookup, and a miss resumes the same heap until the
+    queried cell settles or the reachable region is exhausted. Manhattan
+    distance to the fixed target is consistent, so each cell settles at most
+    once and with its exact distance; that makes this an admissible and
+    consistent space-time heuristic.
     """
 
     def __init__(self, grid: GridMap, goal: Coord):
@@ -162,8 +166,14 @@ class ReverseResumableAStar:
         self.grid = grid
         self.goal = goal
         self.settled: dict[Coord, int] = {}
-        self._frontier: dict[Coord, int] = {goal: 0}
-        self.expanded = 0  # total settles, across all queries
+        self._open: dict[Coord, int] = {goal: 0}  # best g of unsettled generated cells
+        self._heap: list[tuple[int, int, int, int]] = []  # (f, g, y, x), keyed to _target
+        self._target: Coord | None = None
+
+    @property
+    def expanded(self) -> int:
+        """Total settles, across all queries."""
+        return len(self.settled)
 
     def distance(self, cell: Coord) -> int | None:
         """Shortest static distance from ``cell`` to the goal, or None when
@@ -171,36 +181,36 @@ class ReverseResumableAStar:
         hit = self.settled.get(cell)
         if hit is not None:
             return hit
-        if not self._frontier:
-            return None  # reachable region fully settled already
-        heap = [
-            (g + manhattan(c, cell), g, c[1], c[0]) for c, g in self._frontier.items()
-        ]
-        heapq.heapify(heap)
+        heap = self._heap
+        if self._target is None:
+            self._target = cell
+            gx, gy = self.goal
+            heap.append((manhattan(self.goal, cell), 0, gy, gx))
+        tx, ty = self._target
         neighbors = self.grid.neighbors4
         settled = self.settled
-        frontier = self._frontier
+        open_g = self._open
         while heap:
             _, g, y, x = heapq.heappop(heap)
             node = (x, y)
-            if frontier.get(node) != g:
+            if open_g.get(node) != g:
                 continue  # stale entry
-            del frontier[node]
+            del open_g[node]
             settled[node] = g
-            self.expanded += 1
-            # relax neighbors before a possible return: the frontier must
+            # relax neighbors before a possible return: the open cells must
             # always border the settled set or later resumes would miss cells
             ng = g + 1
             for nb in neighbors(node):
                 if nb in settled:
                     continue
-                old = frontier.get(nb)
+                old = open_g.get(nb)
                 if old is None or ng < old:
-                    frontier[nb] = ng
-                    heapq.heappush(heap, (ng + manhattan(nb, cell), ng, nb[1], nb[0]))
+                    open_g[nb] = ng
+                    nx, ny = nb
+                    heapq.heappush(heap, (ng + abs(nx - tx) + abs(ny - ty), ng, ny, nx))
             if node == cell:
                 return g
-        return settled.get(cell)
+        return None
 
 
 def space_time_astar(
@@ -219,7 +229,8 @@ def space_time_astar(
 
     Arrival at the goal is accepted only when parking there forever is safe:
     no reservation touches the goal cell at or after the arrival time. Ties
-    are broken on (f, larger g, t, y, x), so results are reproducible.
+    are broken on (f, larger g, t, y, x), and a state's parent is fixed when
+    the state is first generated, so results are reproducible.
 
     The default horizon, last reservation time plus the map area, is enough
     for any optimal path: waiting out all reserved activity and then making
@@ -229,7 +240,9 @@ def space_time_astar(
         raise ValueError(f"start {start} is not a free cell")
     if not grid.is_free(goal):
         raise ValueError(f"goal {goal} is not a free cell")
-    if rt is not None and not rt.is_vertex_free(start, start_t):
+    if rt is None:
+        rt = ReservationTable()
+    elif not rt.is_vertex_free(start, start_t):
         raise ValueError(f"start {start} is reserved at t={start_t}")
     if heuristic is not None and heuristic.goal != goal:
         raise ValueError(f"heuristic was built for goal {heuristic.goal}, not {goal}")
@@ -239,25 +252,25 @@ def space_time_astar(
     if h_start is None:
         return None
     if horizon is None:
-        horizon = max(start_t, rt.last_time if rt is not None else 0) + grid.width * grid.height
+        horizon = max(start_t, rt.last_time) + grid.width * grid.height
 
-    if rt is None:
-        vertex_ok = lambda cell, t: True  # noqa: E731
-        move_ok = lambda u, v, t: True  # noqa: E731
-        goal_ok = lambda t: True  # noqa: E731
-    else:
-        vertex_ok = rt.is_vertex_free
-        move_ok = rt.is_move_free
-        goal_ok = lambda t: rt.goal_clear_from(goal, t)  # noqa: E731
-
+    # The table is read directly: these are is_vertex_free and is_move_free
+    # inlined. No state is generated past the horizon, so a cell without a
+    # goal stay may read its stay as ``never``.
+    vertices = rt.vertices
+    edges = rt.edges
+    stays = rt.goal_stays
+    never = horizon + 1
     neighbors = grid.neighbors4
+    settled = h.settled
     distance = h.distance
+    gx, gy = goal
     sx, sy = start
     parent: dict[TimedState, TimedState | None] = {(sx, sy, start_t): None}
     heap: list[tuple[int, int, int, int, int]] = [(h_start, 0, start_t, sy, sx)]
     while heap:
         f, _, t, y, x = heapq.heappop(heap)
-        if (x, y) == goal and goal_ok(t):
+        if x == gx and y == gy and rt.goal_clear_from(goal, t):
             states = []
             cur: TimedState | None = (x, y, t)
             while cur is not None:
@@ -269,25 +282,29 @@ def space_time_astar(
             continue
         nt = t + 1
         here = (x, y)
+        state = (x, y, t)
         neg_g = start_t - nt
-        if vertex_ok(here, nt):
-            ws = (x, y, nt)
-            if ws not in parent:
-                parent[ws] = (x, y, t)
-                heapq.heappush(heap, (f + 1, neg_g, nt, y, x))
+        ws = (x, y, nt)
+        if ws not in parent and ws not in vertices and stays.get(here, never) > nt:
+            parent[ws] = state
+            heapq.heappush(heap, (f + 1, neg_g, nt, y, x))
         for nb in neighbors(here):
-            if not vertex_ok(nb, nt):
+            nx, ny = nb
+            ns = (nx, ny, nt)
+            if (
+                ns in parent
+                or ns in vertices
+                or stays.get(nb, never) <= nt
+                or (x, y, nx, ny, t) in edges
+            ):
                 continue
-            if not move_ok(here, nb, t):
-                continue
-            ns = (nb[0], nb[1], nt)
-            if ns in parent:
-                continue
-            hd = distance(nb)
+            hd = settled.get(nb)
             if hd is None:
-                continue
-            parent[ns] = (x, y, t)
-            heapq.heappush(heap, (nt - start_t + hd, neg_g, nt, nb[1], nb[0]))
+                hd = distance(nb)
+                if hd is None:
+                    continue
+            parent[ns] = state
+            heapq.heappush(heap, (nt - start_t + hd, neg_g, nt, ny, nx))
     return None
 
 

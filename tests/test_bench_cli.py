@@ -1,4 +1,8 @@
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,16 @@ from mapfkit import (
 )
 from mapfkit.bench import CSV_COLUMNS, WALL_TIME_COLUMNS
 from mapfkit.cli import main, read_paths, write_paths
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_from_checkout(*args):
+    """Run a fresh interpreter with this checkout's ``src`` first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def drop_wall_time(csv_text):
@@ -231,14 +245,8 @@ class TestCli:
         # Runs the declared console-script target the way pip's generated
         # wrapper does, against this checkout's sources, so the check needs
         # no installed script on PATH.
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         tomllib = pytest.importorskip("tomllib")
-        root = Path(__file__).resolve().parents[1]
-        with open(root / "pyproject.toml", "rb") as fh:
+        with open(ROOT / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["mapfkit"]
         module, function = target.split(":")
         wrapper = (
@@ -247,14 +255,12 @@ class TestCli:
             f"from {module} import {function}\n"
             f"sys.exit({function}())\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", wrapper, "--help"],
-            capture_output=True, text=True, env=env,
-        )
+        result = run_from_checkout("-c", wrapper, "--help")
         assert result.returncode == 0, result.stderr
         assert "usage: mapfkit" in result.stdout
         assert "gen-instance" in result.stdout
+
+    def test_python_m_mapfkit(self):
+        result = run_from_checkout("-m", "mapfkit", "--help")
+        assert result.returncode == 0, result.stderr
+        assert "usage: mapfkit" in result.stdout

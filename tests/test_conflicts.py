@@ -208,6 +208,19 @@ class TestValidateSolution:
         violations = validate_solution({0: p}, grid, {0: ((0, 0), (2, 0))})
         assert any("ends at" in v for v in violations)
 
+    def test_missing_path(self):
+        grid = GridMap(5, 5)
+        p0 = straight_path(0, [(0, 0), (1, 0)])
+        endpoints = {0: ((0, 0), (1, 0)), 1: ((4, 4), (3, 4))}
+        assert validate_solution({0: p0}, grid, endpoints) == ["agent 1: no path"]
+
+    def test_late_start(self):
+        # agent 1 passes (2, 0) at t=2, where agent 0 stood before it started
+        grid = GridMap(5, 5)
+        a = straight_path(0, [(2, 0), (2, 0)], start_t=3)
+        b = straight_path(1, [(0, 0), (1, 0), (2, 0), (3, 0)])
+        assert validate_solution([a, b], grid) == ["agent 0: starts at t=3, expected t=0"]
+
     def test_obstacle_violation(self):
         grid = GridMap(5, 5, frozenset({(1, 0)}))
         p = straight_path(0, [(0, 0), (1, 0)])
