@@ -61,17 +61,45 @@ class GridMap:
 
     @cached_property
     def _neighbor_table(self) -> dict[Coord, tuple[Coord, ...]]:
+        # neighbour order (+x, -x, +y, -y) fixes the searches' tie-breaking
+        w, h, blocked = self.width, self.height, self.obstacles
         table: dict[Coord, tuple[Coord, ...]] = {}
-        for y in range(self.height):
-            for x in range(self.width):
-                if (x, y) in self.obstacles:
+        for y in range(h):
+            for x in range(w):
+                if (x, y) in blocked:
                     continue
-                table[(x, y)] = tuple(
-                    c
-                    for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-                    if self.is_free(c)
-                )
+                nbrs = []
+                if x + 1 < w and (x + 1, y) not in blocked:
+                    nbrs.append((x + 1, y))
+                if x > 0 and (x - 1, y) not in blocked:
+                    nbrs.append((x - 1, y))
+                if y + 1 < h and (x, y + 1) not in blocked:
+                    nbrs.append((x, y + 1))
+                if y > 0 and (x, y - 1) not in blocked:
+                    nbrs.append((x, y - 1))
+                table[(x, y)] = tuple(nbrs)
         return table
+
+    def with_obstacles(self, cells) -> "GridMap":
+        """This map with ``cells`` blocked too; raises ValueError for an
+        out-of-bounds cell.
+
+        If this map has built its neighbour table, the new map gets a patched
+        copy instead of building its own: the new obstacles' entries go, and
+        they leave their free neighbours' tuples, whose order is kept. The
+        result equals a map built from scratch with the same obstacles.
+        """
+        added = set(cells) - self.obstacles
+        derived = GridMap(self.width, self.height, self.obstacles | added)
+        parent_table = self.__dict__.get("_neighbor_table")
+        if parent_table is not None:
+            table = dict(parent_table)
+            for cell in added:
+                for nb in table.pop(cell):
+                    if nb not in added:
+                        table[nb] = tuple(c for c in table[nb] if c != cell)
+            derived.__dict__["_neighbor_table"] = table
+        return derived
 
     def neighbors4(self, cell: Coord) -> tuple[Coord, ...]:
         """Free 4-neighbors of a free in-bounds cell (waits are the searcher's

@@ -1,11 +1,13 @@
 """Guaranteed-solvable instance generation and MovingAI-style scenario I/O.
 
-Instances are built agent by agent: an endpoint pair is redrawn until a
-static path connects it on the current obstacle set, the committed pair is
-then added to the obstacles, and the committed path's cells leave the
+Instances are built agent by agent on one work map: an endpoint pair is
+redrawn until a static path connects it on the work map, the committed pair
+is then blocked on the work map, and the committed path's cells leave the
 sampling pool. Endpoints chosen later therefore never sit on an earlier
 agent's path or endpoints, which is what makes prioritized planning succeed
-on these instances under every priority order.
+on these instances under every priority order. Each work map is derived
+from the previous one with ``GridMap.with_obstacles``, which patches the
+neighbour table around the two new obstacles instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ def generate_instance(
     """Draw a solvable ``n_agents`` instance on ``grid``; deterministic for a
     fixed seed.
 
+    Endpoint pairs are tested on a work map that starts as ``grid`` and,
+    through ``with_obstacles``, gains each committed agent's source and goal
+    as obstacles; ``grid`` itself is never changed.
+
     ``max_tries`` bounds the redraws per agent (default: 10x the current
     pool size); exhausting it raises GenerationError carrying how many
     agents were placed.
@@ -44,14 +50,13 @@ def generate_instance(
     rng = np.random.default_rng(seed)
     order = [int(v) for v in rng.permutation(n_agents)]
     pool = grid.free_cells()
-    obstacles = set(grid.obstacles)
+    work_grid = grid
     sources: dict[int, Coord] = {}
     goals: dict[int, Coord] = {}
     for agent in order:
         if len(pool) < 2:
             raise GenerationError("free space exhausted", len(sources))
         budget = max_tries if max_tries is not None else 10 * len(pool)
-        work_grid = GridMap(grid.width, grid.height, frozenset(obstacles))
         found = None
         for _ in range(budget):
             i = int(rng.integers(len(pool)))
@@ -70,8 +75,7 @@ def generate_instance(
         s, g, path = found
         sources[agent] = s
         goals[agent] = g
-        obstacles.add(s)
-        obstacles.add(g)
+        work_grid = work_grid.with_obstacles((s, g))
         removed = set(path)
         pool = [c for c in pool if c not in removed]
     agents = tuple((sources[i], goals[i]) for i in range(n_agents))

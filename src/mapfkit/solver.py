@@ -39,7 +39,6 @@ from .search import (
     ReservationTable,
     ReverseResumableAStar,
     TimedPath,
-    astar_static,
     space_time_astar,
 )
 
@@ -95,8 +94,21 @@ class ProblemInstance:
         if len(set(goals)) != len(goals):
             raise InvalidInstanceError("goals must be pairwise distinct")
         if check_reachability:
+            # Label the 4-connected component of each source with one flood,
+            # the first time a source in it comes up. The labels are not kept
+            # on the map: callers hold many maps alive at once.
+            neighbors = self.grid.neighbors4
+            label: dict[Coord, int] = {}
             for i, (s, g) in enumerate(self.agents):
-                if astar_static(self.grid, s, g) is None:
+                if s not in label:
+                    label[s] = i
+                    frontier = [s]
+                    while frontier:
+                        for nb in neighbors(frontier.pop()):
+                            if nb not in label:
+                                label[nb] = i
+                                frontier.append(nb)
+                if label.get(g) != label[s]:
                     raise InvalidInstanceError(f"agent {i} goal {g} unreachable from {s}")
 
 

@@ -1,10 +1,14 @@
-"""Golden digests of planner output for fixed seeds.
+"""Golden digests of planner and generator output for fixed seeds.
 
-Each case hashes every agent's ``(agent, states)`` from ``solve_hca`` and
+Each planner case hashes every agent's ``(agent, states)`` from ``solve_hca`` and
 ``solve_variant``, the failing agent when a planner fails, and the variant's
 per-round ledger bits. A search change that keeps paths byte-identical
 leaves every digest unchanged; a change to tie-breaking has to replace them
 on purpose.
+
+Each scenario case hashes the ``.scen`` text and the metadata sidecar of a
+generated instance, or the GenerationError and its ``n_generated``, so a
+generator change must keep the same seeds producing the same files.
 """
 
 import hashlib
@@ -13,6 +17,7 @@ import numpy as np
 import pytest
 
 from mapfkit import (
+    GenerationError,
     InvalidInstanceError,
     ProblemInstance,
     SolveFailure,
@@ -20,6 +25,8 @@ from mapfkit import (
     generate_random_map,
     solve_hca,
     solve_variant,
+    write_instance_metadata,
+    write_scenario,
 )
 
 
@@ -85,3 +92,24 @@ def test_planner_output_matches_golden_digest(kind, seed):
     instance, order = (desk_case if kind == "desk" else crowd_case)(seed)
     digest = hashlib.sha256(repr(outcome(instance, order)).encode()).hexdigest()[:16]
     assert digest == GOLDEN[(kind, seed)]
+
+
+SCENARIO_GOLDEN = {
+    (50, 16, 1): "31ba560146999e2b",
+    (50, 16, 2): "55f6afcc8ff7607e",
+    (50, 16, 3): "6928890191396efd",
+    (24, 40, 1): "ed871e6cb73f0a35",
+    (16, 60, 1): "ffd3e5029fa8df01",  # GenerationError after placing 36 agents
+}
+
+
+@pytest.mark.parametrize("side,n_agents,seed", sorted(SCENARIO_GOLDEN))
+def test_generated_scenario_matches_golden_digest(side, n_agents, seed):
+    grid = generate_random_map(side, side, 0.1, seed)
+    try:
+        instance = generate_instance(grid, n_agents, seed)
+        text = write_scenario(instance) + write_instance_metadata(instance)
+    except GenerationError as exc:
+        text = f"GenerationError: {exc} ({exc.n_generated} placed)"
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == SCENARIO_GOLDEN[(side, n_agents, seed)]

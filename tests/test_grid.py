@@ -244,6 +244,53 @@ class TestNeighbors:
         assert grid.neighbors4((1, 1)) == ()
 
 
+def neighbor_table(grid):
+    """Every free cell's neighbour tuple, in the order the map gives it."""
+    return {c: grid.neighbors4(c) for c in grid.free_cells()}
+
+
+class TestWithObstacles:
+    def test_derivation_chain_matches_fresh_build(self):
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            w, h = (int(v) for v in rng.integers(2, 14, size=2))
+            grid = generate_random_map(w, h, 0.2, int(rng.integers(1 << 30)))
+            neighbor_table(grid)  # built, so every derivation below patches it
+            while grid.n_free > 0:
+                # any in-bounds cells, so some are blocked already
+                k = int(rng.integers(1, 4))
+                cells = [(int(rng.integers(w)), int(rng.integers(h))) for _ in range(k)]
+                derived = grid.with_obstacles(cells)
+                fresh = GridMap(w, h, grid.obstacles | set(cells))
+                assert derived == fresh
+                assert neighbor_table(derived) == neighbor_table(fresh)  # tuple order too
+                grid = derived
+
+    def test_parent_unchanged(self):
+        grid = generate_random_map(12, 9, 0.2, 3)
+        table = neighbor_table(grid)
+        obstacles = grid.obstacles
+        free = grid.free_cells()
+        grid.with_obstacles(free[::3])
+        assert grid.obstacles == obstacles
+        assert neighbor_table(grid) == table
+
+    def test_out_of_bounds_rejected(self):
+        grid = GridMap(4, 4)
+        neighbor_table(grid)
+        for cell in ((4, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                grid.with_obstacles([(1, 1), cell])
+
+    def test_from_unbuilt_table(self):
+        grid = generate_random_map(10, 10, 0.2, 8)
+        cells = grid.free_cells()[::4]
+        derived = grid.with_obstacles(cells)
+        fresh = GridMap(10, 10, grid.obstacles | set(cells))
+        assert derived == fresh
+        assert neighbor_table(derived) == neighbor_table(fresh)
+
+
 def test_random_map_downsample_statistics():
     # sanity check across seeds: deterministic generation, frozen sets shareable
     rng = np.random.default_rng(0)

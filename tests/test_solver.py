@@ -56,6 +56,41 @@ class TestProblemInstance:
             inst.validate()
         inst.validate(check_reachability=False)
 
+    def test_reachability_agrees_with_static_search(self):
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            # a full wall row and column seal up to four regions
+            w, h = (int(v) for v in rng.integers(6, 16, size=2))
+            wx, wy = int(rng.integers(1, w - 1)), int(rng.integers(1, h - 1))
+            walls = {(wx, y) for y in range(h)} | {(x, wy) for x in range(w)}
+            scatter = generate_random_map(w, h, 0.15, int(rng.integers(1 << 30)))
+            grid = GridMap(w, h, scatter.obstacles | walls)
+            free = grid.free_cells()
+            n = min(8, len(free) // 2)
+            picks = rng.choice(len(free), size=2 * n, replace=False)
+            agents = tuple(
+                (free[int(picks[k])], free[int(picks[n + k])]) for k in range(n)
+            )
+            unreachable = [
+                i for i, (s, g) in enumerate(agents) if astar_static(grid, s, g) is None
+            ]
+            for i, pair in enumerate(agents):
+                single = ProblemInstance(grid, (pair,))
+                if i in unreachable:
+                    with pytest.raises(InvalidInstanceError):
+                        single.validate()
+                else:
+                    single.validate()
+            inst = ProblemInstance(grid, agents)
+            if unreachable:
+                first = unreachable[0]
+                s, g = agents[first]
+                with pytest.raises(InvalidInstanceError) as exc:
+                    inst.validate()
+                assert str(exc.value) == f"agent {first} goal {g} unreachable from {s}"
+            else:
+                inst.validate()
+
 
 class TestSolveHca:
     def test_single_agent_shortest_path(self):
