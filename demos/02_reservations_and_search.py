@@ -20,7 +20,7 @@ print("empty table:", path.cells(), f"cost={path.cost}")
 
 # (2) Reserve another agent's path straight down the middle row. The search
 #     now threads around it; waiting costs one step per wait.
-rt = ReservationTable()
+rt = ReservationTable(grid)
 blocker = TimedPath(9, tuple((x, 1, x) for x in range(7)))  # left-to-right, parks at (6, 1)
 rt.insert_path(blocker)
 path = space_time_astar(grid, (6, 1), (0, 1), rt)
@@ -38,8 +38,8 @@ print("into a parked agent's cell:", blocked)
 #     search until the asked cell settles, and settled cells are lookups.
 h = ReverseResumableAStar(grid, (6, 1))
 d1 = h.distance((0, 1))
-settled_after_first = len(h.settled)
+settled_after_first = h.expanded
 d2 = h.distance((0, 0))
 print(f"distances to (6,1): from (0,1) = {d1}, from (0,0) = {d2}")
-print(f"settled cells after first query: {settled_after_first}, after second: {len(h.settled)}")
+print(f"settled cells after first query: {settled_after_first}, after second: {h.expanded}")
 assert d1 == len(astar_static(grid, (0, 1), (6, 1))) - 1

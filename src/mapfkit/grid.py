@@ -2,7 +2,10 @@
 maps, and rectangular map partitioning with O(1) point-to-partition lookup.
 
 Coordinates are ``(x, y)`` pairs with ``x`` the column and ``y`` the row; the
-origin is the top-left corner. Agents move on the 4-connected grid.
+origin is the top-left corner. Agents move on the 4-connected grid. Inside
+the search core a cell is its flat id ``y * width + x``: the map's neighbour
+table is a list indexed by flat id, and ``(x, y)`` pairs appear only at the
+public boundary.
 """
 
 from __future__ import annotations
@@ -59,25 +62,33 @@ class GridMap:
             if (x, y) not in self.obstacles
         ]
 
+    def cell_id(self, cell: Coord) -> int:
+        """Flat id ``y * width + x`` of an in-bounds cell."""
+        return cell[1] * self.width + cell[0]
+
     @cached_property
-    def _neighbor_table(self) -> dict[Coord, tuple[Coord, ...]]:
+    def neighbor_table(self) -> list[tuple[int, ...] | None]:
+        """Free 4-neighbours of every cell as flat ids, indexed by flat id;
+        None for an obstacle. Built on first use."""
         # neighbour order (+x, -x, +y, -y) fixes the searches' tie-breaking
         w, h, blocked = self.width, self.height, self.obstacles
-        table: dict[Coord, tuple[Coord, ...]] = {}
+        table: list[tuple[int, ...] | None] = []
         for y in range(h):
             for x in range(w):
                 if (x, y) in blocked:
+                    table.append(None)
                     continue
+                c = y * w + x
                 nbrs = []
                 if x + 1 < w and (x + 1, y) not in blocked:
-                    nbrs.append((x + 1, y))
+                    nbrs.append(c + 1)
                 if x > 0 and (x - 1, y) not in blocked:
-                    nbrs.append((x - 1, y))
+                    nbrs.append(c - 1)
                 if y + 1 < h and (x, y + 1) not in blocked:
-                    nbrs.append((x, y + 1))
+                    nbrs.append(c + w)
                 if y > 0 and (x, y - 1) not in blocked:
-                    nbrs.append((x, y - 1))
-                table[(x, y)] = tuple(nbrs)
+                    nbrs.append(c - w)
+                table.append(tuple(nbrs))
         return table
 
     def with_obstacles(self, cells) -> "GridMap":
@@ -85,26 +96,32 @@ class GridMap:
         out-of-bounds cell.
 
         If this map has built its neighbour table, the new map gets a patched
-        copy instead of building its own: the new obstacles' entries go, and
-        they leave their free neighbours' tuples, whose order is kept. The
-        result equals a map built from scratch with the same obstacles.
+        copy instead of building its own: the new obstacles' entries become
+        None, and they leave their free neighbours' tuples, whose order is
+        kept. The result equals a map built from scratch with the same
+        obstacles.
         """
         added = set(cells) - self.obstacles
         derived = GridMap(self.width, self.height, self.obstacles | added)
-        parent_table = self.__dict__.get("_neighbor_table")
+        parent_table = self.__dict__.get("neighbor_table")
         if parent_table is not None:
-            table = dict(parent_table)
-            for cell in added:
-                for nb in table.pop(cell):
-                    if nb not in added:
-                        table[nb] = tuple(c for c in table[nb] if c != cell)
-            derived.__dict__["_neighbor_table"] = table
+            table = list(parent_table)
+            ids = {self.cell_id(cell) for cell in added}
+            for c in ids:
+                for nb in table[c]:
+                    if nb not in ids:
+                        table[nb] = tuple(n for n in table[nb] if n != c)
+                table[c] = None
+            derived.__dict__["neighbor_table"] = table
         return derived
 
     def neighbors4(self, cell: Coord) -> tuple[Coord, ...]:
         """Free 4-neighbors of a free in-bounds cell (waits are the searcher's
-        business, not the map's)."""
-        return self._neighbor_table[cell]
+        business, not the map's); raises ValueError for any other cell."""
+        if not self.is_free(cell):
+            raise ValueError(f"{cell} is not a free cell")
+        w = self.width
+        return tuple((n % w, n // w) for n in self.neighbor_table[self.cell_id(cell)])
 
 
 def parse_movingai_map(text: str) -> GridMap:

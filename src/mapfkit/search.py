@@ -5,11 +5,18 @@ Time is discrete; every action (move to a 4-neighbor or wait in place) takes
 one step. A path's cost is its arrival time minus its start time, so waiting
 is paid for. Two agents collide when they occupy the same cell at the same
 step or traverse the same edge in opposite directions across the same step.
+
+Inside the core a cell is its flat id ``y * width + x`` (see ``GridMap``),
+a state is the int ``t * area + c``, and the reservation table keys
+vertices and edges by such ints. ``(x, y)`` cells and ``(x, y, t)`` states
+appear only at the boundary: in arguments, in ``TimedPath`` and in the
+table's public queries.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 
 from .grid import Coord, GridMap
@@ -73,77 +80,128 @@ class PathConflictError(ValueError):
     """A path being inserted collides with existing reservations."""
 
 
-class ReservationTable:
-    """Space-time occupancy of already-fixed paths.
+NO_STAY = sys.maxsize  # ``goal_stays`` entry of a cell nobody parks on
 
-    Tracks vertex occupancy ``(x, y, t)``, edge traversals during
-    ``[t, t + 1]`` (stored in both directions so a swap conflict is a single
-    lookup), and indefinite goal stays (the final cell of a fixed path is
-    occupied for every ``t >=`` its arrival time).
+
+class ReservationTable:
+    """Space-time occupancy of already-fixed paths on one map.
+
+    Cells are flat ids ``c = y * width + x`` and times are packed in with
+    them, so every reservation is one int:
+
+    - ``vertices`` holds each occupied state ``(c, t)`` as ``t * area + c``;
+    - ``edges`` holds each traversal ``src -> dst`` during ``[t, t + 1]`` as
+      ``(t * area + src) * area + dst``, in both directions so a swap
+      conflict is a single lookup;
+    - ``goal_stays`` is indexed by cell id and gives the time from which the
+      final cell of a fixed path is occupied forever, or ``NO_STAY``.
+
+    The public queries take ``(x, y)`` cells and reject cells off the map.
     """
 
-    def __init__(self):
-        self.vertices: set[TimedState] = set()
-        self.edges: set[tuple[int, int, int, int, int]] = set()
-        self.goal_stays: dict[Coord, int] = {}
-        self._last_vertex: dict[Coord, int] = {}
-        self._last_entry: dict[Coord, int] = {}
+    def __init__(self, grid: GridMap):
+        self.width = grid.width
+        self.height = grid.height
+        self.area = grid.width * grid.height
+        self.vertices: set[int] = set()
+        self.edges: set[int] = set()
+        self.goal_stays: list[int] = [NO_STAY] * self.area
+        self._last_vertex: dict[int, int] = {}
         self.last_time = 0  # latest finite reservation time
 
+    def _cell_id(self, cell: Coord) -> int:
+        x, y = cell
+        if not (0 <= x < self.width and 0 <= y < self.height):
+            raise ValueError(f"cell {cell} is off the {self.width}x{self.height} map")
+        return y * self.width + x
+
     def is_vertex_free(self, cell: Coord, t: int) -> bool:
-        if (cell[0], cell[1], t) in self.vertices:
-            return False
-        stay = self.goal_stays.get(cell)
-        return stay is None or t < stay
+        c = self._cell_id(cell)
+        return t * self.area + c not in self.vertices and t < self.goal_stays[c]
 
     def is_move_free(self, src: Coord, dst: Coord, t: int) -> bool:
         """True if traversing ``src -> dst`` during ``[t, t + 1]`` crosses no
         reserved edge."""
-        return (src[0], src[1], dst[0], dst[1], t) not in self.edges
+        a = self.area
+        return (t * a + self._cell_id(src)) * a + self._cell_id(dst) not in self.edges
+
+    def goal_clear_time(self, cell: Coord) -> int | None:
+        """Earliest time from which an agent may park on ``cell`` for good,
+        or None when a fixed path already parks there.
+
+        That is one past the last vertex reservation on the cell. A reserved
+        edge entering the cell during ``[t, t + 1]`` needs no test of its
+        own: it comes with the vertex reservation at ``t + 1``.
+        """
+        c = self._cell_id(cell)
+        if self.goal_stays[c] != NO_STAY:
+            return None
+        return self._last_vertex.get(c, -1) + 1
 
     def goal_clear_from(self, cell: Coord, t: int) -> bool:
         """True if an agent may park on ``cell`` for every time ``>= t``: no
         reserved stay there, and no vertex reservation or reserved edge
         entering the cell at or after ``t``."""
-        if cell in self.goal_stays:
-            return False
-        return self._last_vertex.get(cell, -1) < t and self._last_entry.get(cell, -1) < t
+        clear = self.goal_clear_time(cell)
+        return clear is not None and clear <= t
 
-    def path_conflict(self, path: TimedPath) -> str | None:
-        """Describe the first conflict between ``path`` and the table, or
-        None if the path (including its final stay) fits."""
-        for x, y, t in path.states:
-            if not self.is_vertex_free((x, y), t):
+    def _path_ids(self, path: TimedPath) -> list[int]:
+        w, h = self.width, self.height
+        ids = []
+        for x, y, _ in path.states:
+            if not (0 <= x < w and 0 <= y < h):
+                raise ValueError(f"agent {path.agent} path leaves the {w}x{h} map at ({x}, {y})")
+            ids.append(y * w + x)
+        return ids
+
+    def _conflict(self, path: TimedPath, ids: list[int]) -> str | None:
+        a = self.area
+        vertices, stays = self.vertices, self.goal_stays
+        for (x, y, t), c in zip(path.states, ids):
+            if t * a + c in vertices or stays[c] <= t:
                 return f"vertex ({x}, {y}) at t={t}"
-        for x0, y0, x1, y1, t0 in path.iter_moves():
-            if not self.is_move_free((x0, y0), (x1, y1), t0):
+        edges = self.edges
+        for (x0, y0, t0), (x1, y1, _), src, dst in zip(
+            path.states, path.states[1:], ids, ids[1:]
+        ):
+            if src != dst and (t0 * a + src) * a + dst in edges:
                 return f"edge ({x0}, {y0})->({x1}, {y1}) at t={t0}"
         gx, gy, gt = path.states[-1]
         if not self.goal_clear_from((gx, gy), gt):
             return f"goal stay at ({gx}, {gy}) from t={gt}"
         return None
 
+    def path_conflict(self, path: TimedPath) -> str | None:
+        """Describe the first conflict between ``path`` and the table, or
+        None if the path (including its final stay) fits."""
+        return self._conflict(path, self._path_ids(path))
+
     def insert_path(self, path: TimedPath) -> None:
         """Reserve every state, both directions of every traversed edge, and
         an indefinite stay on the final cell. Conflicting paths are rejected;
         feasibility is the planner's job."""
-        conflict = self.path_conflict(path)
+        ids = self._path_ids(path)
+        conflict = self._conflict(path, ids)
         if conflict is not None:
             raise PathConflictError(
                 f"agent {path.agent} path conflicts with reservations: {conflict}"
             )
-        for x, y, t in path.states:
-            self.vertices.add((x, y, t))
-            if self._last_vertex.get((x, y), -1) < t:
-                self._last_vertex[(x, y)] = t
-        for x0, y0, x1, y1, t0 in path.iter_moves():
-            self.edges.add((x0, y0, x1, y1, t0))
-            self.edges.add((x1, y1, x0, y0, t0))
-            if self._last_entry.get((x1, y1), -1) < t0:
-                self._last_entry[(x1, y1)] = t0
-        gx, gy, gt = path.states[-1]
-        self.goal_stays[(gx, gy)] = gt
-        self.last_time = max(self.last_time, gt)
+        a = self.area
+        vertices, edges, last_vertex = self.vertices, self.edges, self._last_vertex
+        t = path.start_time
+        prev = ids[0]
+        for c in ids:
+            vertices.add(t * a + c)
+            if last_vertex.get(c, -1) < t:
+                last_vertex[c] = t
+            if c != prev:
+                edges.add(((t - 1) * a + prev) * a + c)
+                edges.add(((t - 1) * a + c) * a + prev)
+            prev = c
+            t += 1
+        t -= 1
+        self.goal_stays[prev] = t
+        self.last_time = max(self.last_time, t)
 
 
 class ReverseResumableAStar:
@@ -152,12 +210,15 @@ class ReverseResumableAStar:
 
     One backward A* runs from the goal toward the first cell it is asked
     about; every caller asks about the searching agent's start first. Its
-    heap and best-g map persist across queries: a query for a settled cell
-    is a dictionary lookup, and a miss resumes the same heap until the
-    queried cell settles or the reachable region is exhausted. Manhattan
-    distance to the fixed target is consistent, so each cell settles at most
-    once and with its exact distance; that makes this an admissible and
+    heap and best-g list persist across queries: a query for a settled cell
+    is a list lookup, and a miss resumes the same heap until the queried
+    cell settles or the reachable region is exhausted. Manhattan distance
+    to the fixed target is consistent, so each cell settles at most once
+    and with its exact distance; that makes this an admissible and
     consistent space-time heuristic.
+
+    ``dist`` is indexed by flat cell id ``y * width + x`` and holds the
+    distance of every settled cell, -1 for the rest.
     """
 
     def __init__(self, grid: GridMap, goal: Coord):
@@ -165,49 +226,64 @@ class ReverseResumableAStar:
             raise ValueError(f"goal {goal} is not a free cell")
         self.grid = grid
         self.goal = goal
-        self.settled: dict[Coord, int] = {}
-        self._open: dict[Coord, int] = {goal: 0}  # best g of unsettled generated cells
-        self._heap: list[tuple[int, int, int, int]] = []  # (f, g, y, x), keyed to _target
-        self._target: Coord | None = None
+        area = grid.width * grid.height
+        self._goal_id = grid.cell_id(goal)
+        self.dist: list[int] = [-1] * area
+        # Best g of each generated cell; ``area`` exceeds every distance. A
+        # settled cell's best g is exact, so no later relaxation beats it.
+        self._best = [area] * area
+        self._best[self._goal_id] = 0
+        self._heap: list[int] = []  # keyed to _target
+        self._target: tuple[int, int] | None = None
 
     @property
     def expanded(self) -> int:
         """Total settles, across all queries."""
-        return len(self.settled)
+        return len(self.dist) - self.dist.count(-1)
 
     def distance(self, cell: Coord) -> int | None:
         """Shortest static distance from ``cell`` to the goal, or None when
-        unreachable. Never recomputes settled cells."""
-        hit = self.settled.get(cell)
-        if hit is not None:
+        unreachable or off the map. Never recomputes settled cells."""
+        if not self.grid.in_bounds(cell):
+            return None
+        return self._distance(self.grid.cell_id(cell))
+
+    def _distance(self, cell: int) -> int | None:
+        """``distance`` of the cell with flat id ``cell``."""
+        dist = self.dist
+        hit = dist[cell]
+        if hit >= 0:
             return hit
+        grid = self.grid
+        w = grid.width
+        area = len(dist)
         heap = self._heap
         if self._target is None:
-            self._target = cell
-            gx, gy = self.goal
-            heap.append((manhattan(self.goal, cell), 0, gy, gx))
+            ty, tx = divmod(cell, w)
+            self._target = (tx, ty)
+            heap.append(manhattan(self.goal, self._target) * area * area + self._goal_id)
         tx, ty = self._target
-        neighbors = self.grid.neighbors4
-        settled = self.settled
-        open_g = self._open
+        table = grid.neighbor_table
+        best = self._best
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # A heap entry is the int ``(f * area + g) * area + c``; both g and c
+        # are below ``area``, so it orders as (f, g, y, x).
+        f_step = area * area
         while heap:
-            _, g, y, x = heapq.heappop(heap)
-            node = (x, y)
-            if open_g.get(node) != g:
-                continue  # stale entry
-            del open_g[node]
-            settled[node] = g
+            key = heappop(heap)
+            node = key % area
+            if dist[node] >= 0:
+                continue  # stale entry: a cell's smallest g pops first
+            g = key // area % area
+            dist[node] = g
             # relax neighbors before a possible return: the open cells must
             # always border the settled set or later resumes would miss cells
             ng = g + 1
-            for nb in neighbors(node):
-                if nb in settled:
-                    continue
-                old = open_g.get(nb)
-                if old is None or ng < old:
-                    open_g[nb] = ng
-                    nx, ny = nb
-                    heapq.heappush(heap, (ng + abs(nx - tx) + abs(ny - ty), ng, ny, nx))
+            g_part = ng * f_step + ng * area
+            for nb in table[node]:
+                if ng < best[nb]:
+                    best[nb] = ng
+                    heappush(heap, (abs(nb % w - tx) + abs(nb // w - ty)) * f_step + g_part + nb)
             if node == cell:
                 return g
         return None
@@ -228,9 +304,10 @@ def space_time_astar(
     ``horizon``.
 
     Arrival at the goal is accepted only when parking there forever is safe:
-    no reservation touches the goal cell at or after the arrival time. Ties
-    are broken on (f, larger g, t, y, x), and a state's parent is fixed when
-    the state is first generated, so results are reproducible.
+    no reservation touches the goal cell at or after the arrival time, so a
+    goal under a reserved stay fails at once. Ties are broken on (f, larger
+    g, t, y, x), and a state's parent is fixed when the state is first
+    generated, so results are reproducible.
 
     The default horizon, last reservation time plus the map area, is enough
     for any optimal path: waiting out all reserved activity and then making
@@ -240,71 +317,87 @@ def space_time_astar(
         raise ValueError(f"start {start} is not a free cell")
     if not grid.is_free(goal):
         raise ValueError(f"goal {goal} is not a free cell")
+    size = (grid.width, grid.height)
     if rt is None:
-        rt = ReservationTable()
+        rt = ReservationTable(grid)
+    elif (rt.width, rt.height) != size:
+        raise ValueError(f"reservation table was built for a {rt.width}x{rt.height} map")
     elif not rt.is_vertex_free(start, start_t):
         raise ValueError(f"start {start} is reserved at t={start_t}")
-    if heuristic is not None and heuristic.goal != goal:
-        raise ValueError(f"heuristic was built for goal {heuristic.goal}, not {goal}")
+    if heuristic is not None:
+        if heuristic.goal != goal:
+            raise ValueError(f"heuristic was built for goal {heuristic.goal}, not {goal}")
+        if (heuristic.grid.width, heuristic.grid.height) != size:
+            raise ValueError(
+                f"heuristic was built for a {heuristic.grid.width}x{heuristic.grid.height} map"
+            )
+    clear = rt.goal_clear_time(goal)
+    if clear is None:
+        return None
 
     h = heuristic if heuristic is not None else ReverseResumableAStar(grid, goal)
-    h_start = h.distance(start)
+    w = grid.width
+    area = w * grid.height
+    start_id = grid.cell_id(start)
+    goal_id = grid.cell_id(goal)
+    h_start = h._distance(start_id)
     if h_start is None:
         return None
     if horizon is None:
-        horizon = max(start_t, rt.last_time) + grid.width * grid.height
+        horizon = max(start_t, rt.last_time) + area
 
-    # The table is read directly: these are is_vertex_free and is_move_free
-    # inlined. No state is generated past the horizon, so a cell without a
-    # goal stay may read its stay as ``never``.
+    # A state is packed as ``t * area + c``, the table's vertex key, and a
+    # move as the table's edge key. A heap entry is the int
+    # ``(f * span - g) * area + c``; g is below ``span``, so it orders as
+    # (f, -g, c), which is (f, -g, t, y, x) because t is start_t + g. A
+    # state's parent is stored as its cell; its time is one less.
+    span = max(horizon - start_t, 0) + 1
+    g_step = (span - 1) * area  # key change for g + 1 at f + 1, as on a wait
+    h_step = span * area  # key change per unit of h
     vertices = rt.vertices
     edges = rt.edges
     stays = rt.goal_stays
-    never = horizon + 1
-    neighbors = grid.neighbors4
-    settled = h.settled
-    distance = h.distance
-    gx, gy = goal
-    sx, sy = start
-    parent: dict[TimedState, TimedState | None] = {(sx, sy, start_t): None}
-    heap: list[tuple[int, int, int, int, int]] = [(h_start, 0, start_t, sy, sx)]
+    table = grid.neighbor_table
+    dist = h.dist
+    settle = h._distance
+    heappush, heappop = heapq.heappush, heapq.heappop
+    parent: dict[int, int] = {start_t * area + start_id: -1}
+    heap = [h_start * h_step + start_id]
     while heap:
-        f, _, t, y, x = heapq.heappop(heap)
-        if x == gx and y == gy and rt.goal_clear_from(goal, t):
+        key = heappop(heap)
+        c = key % area
+        g = -(key // area) % span
+        t = start_t + g
+        if c == goal_id and t >= clear:
             states = []
-            cur: TimedState | None = (x, y, t)
-            while cur is not None:
-                states.append(cur)
-                cur = parent[cur]
+            while c >= 0:
+                y, x = divmod(c, w)
+                states.append((x, y, t))
+                c = parent[t * area + c]
+                t -= 1
             states.reverse()
             return TimedPath(agent, tuple(states))
         if t >= horizon:
             continue
         nt = t + 1
-        here = (x, y)
-        state = (x, y, t)
-        neg_g = start_t - nt
-        ws = (x, y, nt)
-        if ws not in parent and ws not in vertices and stays.get(here, never) > nt:
-            parent[ws] = state
-            heapq.heappush(heap, (f + 1, neg_g, nt, y, x))
-        for nb in neighbors(here):
-            nx, ny = nb
-            ns = (nx, ny, nt)
-            if (
-                ns in parent
-                or ns in vertices
-                or stays.get(nb, never) <= nt
-                or (x, y, nx, ny, t) in edges
-            ):
+        base = nt * area
+        ws = base + c
+        if ws not in parent and ws not in vertices and stays[c] > nt:
+            parent[ws] = c
+            heappush(heap, key + g_step)
+        edge_base = (base - area + c) * area
+        g_part = (g + 1) * g_step
+        for nb in table[c]:
+            ns = base + nb
+            if ns in parent or ns in vertices or stays[nb] <= nt or edge_base + nb in edges:
                 continue
-            hd = settled.get(nb)
-            if hd is None:
-                hd = distance(nb)
+            hd = dist[nb]
+            if hd < 0:
+                hd = settle(nb)
                 if hd is None:
                     continue
-            parent[ns] = state
-            heapq.heappush(heap, (nt - start_t + hd, neg_g, nt, ny, nx))
+            parent[ns] = c
+            heappush(heap, hd * h_step + g_part + nb)
     return None
 
 

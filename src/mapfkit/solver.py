@@ -94,21 +94,24 @@ class ProblemInstance:
         if len(set(goals)) != len(goals):
             raise InvalidInstanceError("goals must be pairwise distinct")
         if check_reachability:
-            # Label the 4-connected component of each source with one flood,
-            # the first time a source in it comes up. The labels are not kept
-            # on the map: callers hold many maps alive at once.
-            neighbors = self.grid.neighbors4
-            label: dict[Coord, int] = {}
+            # Label the 4-connected component of each source with one flood
+            # over flat cell ids, the first time a source in it comes up. The
+            # labels are not kept on the map: callers hold many maps alive at
+            # once.
+            grid = self.grid
+            table = grid.neighbor_table
+            label = [-1] * len(table)
             for i, (s, g) in enumerate(self.agents):
-                if s not in label:
-                    label[s] = i
-                    frontier = [s]
+                src = grid.cell_id(s)
+                if label[src] < 0:
+                    label[src] = i
+                    frontier = [src]
                     while frontier:
-                        for nb in neighbors(frontier.pop()):
-                            if nb not in label:
+                        for nb in table[frontier.pop()]:
+                            if label[nb] < 0:
                                 label[nb] = i
                                 frontier.append(nb)
-                if label.get(g) != label[s]:
+                if label[grid.cell_id(g)] != label[src]:
                     raise InvalidInstanceError(f"agent {i} goal {g} unreachable from {s}")
 
 
@@ -197,7 +200,7 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Soluti
     if sorted(order) != list(range(instance.n_agents)):
         raise ValueError("order must be a permutation of agent ids")
     deadline = time.perf_counter() + timeout
-    rt = ReservationTable()
+    rt = ReservationTable(grid)
     area = grid.width * grid.height
     paths: dict[int, TimedPath] = {}
     for agent in order:
@@ -239,10 +242,10 @@ def solve_variant(
     if n == 0:
         return Solution.from_paths({}), trace
 
-    grid._neighbor_table  # build the shared neighbor table before any threads run
+    grid.neighbor_table  # build the shared neighbor table before any threads run
     deadline = time.perf_counter() + timeout
     area = grid.width * grid.height
-    rt = ReservationTable()
+    rt = ReservationTable(grid)
     heuristics = {
         i: ReverseResumableAStar(grid, instance.agents[i][1]) for i in range(n)
     }

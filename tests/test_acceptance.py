@@ -78,7 +78,7 @@ def test_criterion_01_space_time_search_matches_oracle():
         free = grid.free_cells()
         if len(free) < 4:
             continue
-        rt = ReservationTable()
+        rt = ReservationTable(grid)
         fixed = []
         for agent in range(int(rng.integers(4))):  # up to 3 reserved paths
             p = random_timed_path(rng, grid, 100 + agent, max_len=10)

@@ -243,6 +243,12 @@ class TestNeighbors:
         grid = GridMap(3, 3, frozenset({(1, 0), (0, 1), (2, 1), (1, 2)}))
         assert grid.neighbors4((1, 1)) == ()
 
+    def test_rejects_blocked_and_off_map_cells(self):
+        grid = GridMap(3, 3, frozenset({(1, 0)}))
+        for cell in ((1, 0), (3, 0), (-1, 1), (0, 3)):
+            with pytest.raises(ValueError):
+                grid.neighbors4(cell)
+
 
 def neighbor_table(grid):
     """Every free cell's neighbour tuple, in the order the map gives it."""
@@ -264,6 +270,7 @@ class TestWithObstacles:
                 fresh = GridMap(w, h, grid.obstacles | set(cells))
                 assert derived == fresh
                 assert neighbor_table(derived) == neighbor_table(fresh)  # tuple order too
+                assert derived.neighbor_table == fresh.neighbor_table  # obstacles too
                 grid = derived
 
     def test_parent_unchanged(self):

@@ -130,7 +130,7 @@ class TestReverseResumable:
 
 class TestReservationTable:
     def test_goal_stay_reserved_forever(self):
-        rt = ReservationTable()
+        rt = ReservationTable(GridMap(6, 1))
         path = TimedPath(0, tuple((x, 0, x) for x in range(6)))
         rt.insert_path(path)
         assert not rt.is_vertex_free((5, 0), 9)
@@ -138,7 +138,7 @@ class TestReservationTable:
         assert rt.is_vertex_free((5, 0), 4)
 
     def test_conflicting_insert_rejected(self):
-        rt = ReservationTable()
+        rt = ReservationTable(GridMap(3, 2))
         rt.insert_path(TimedPath(0, ((0, 0, 0), (1, 0, 1))))
         with pytest.raises(PathConflictError):
             rt.insert_path(TimedPath(1, ((1, 0, 0), (0, 0, 1))))  # swap
@@ -149,7 +149,7 @@ class TestReservationTable:
 
     def test_insert_then_replan_avoids_everything(self):
         grid = GridMap(4, 4)
-        rt = ReservationTable()
+        rt = ReservationTable(grid)
         first = space_time_astar(grid, (0, 0), (3, 0), rt)
         rt.insert_path(first)
         second = space_time_astar(grid, (0, 1), (3, 1), rt)
@@ -157,25 +157,56 @@ class TestReservationTable:
         assert second is not None
 
 
+    def test_goal_clear_time_matches_goal_clear_from(self):
+        rng = np.random.default_rng(31)
+        grid = GridMap(6, 6)
+        rt = ReservationTable(grid)
+        for agent in range(6):
+            p = random_timed_path(rng, grid, agent, max_len=10)
+            if rt.path_conflict(p) is None:
+                rt.insert_path(p)
+        for cell in grid.free_cells():
+            clear = rt.goal_clear_time(cell)
+            for t in range(rt.last_time + 3):
+                assert rt.goal_clear_from(cell, t) == (clear is not None and t >= clear)
+            if clear is not None and clear > 0:
+                assert not rt.goal_clear_from(cell, clear - 1)
+                assert rt.goal_clear_from(cell, clear)
+        # a crossing path keeps the cell busy until one step after it leaves
+        rt = ReservationTable(grid)
+        rt.insert_path(TimedPath(0, ((0, 1, 0), (1, 1, 1), (2, 1, 2))))
+        assert rt.goal_clear_time((1, 1)) == 2
+        assert rt.goal_clear_time((2, 1)) is None
+        assert rt.goal_clear_time((5, 5)) == 0
+
+    def test_cells_off_the_map_rejected(self):
+        grid = GridMap(3, 2)
+        rt = ReservationTable(grid)
+        with pytest.raises(ValueError):
+            rt.insert_path(TimedPath(0, ((2, 0, 0), (3, 0, 1), (2, 0, 2))))
+        with pytest.raises(ValueError):
+            rt.is_vertex_free((0, 2), 0)
+        assert rt.vertices == set() and rt.edges == set()
+
+
 class TestSpaceTimeAstar:
     def test_reduces_to_astar_without_reservations(self):
         grid = GridMap(3, 1)
-        path = space_time_astar(grid, (0, 0), (2, 0), ReservationTable())
+        path = space_time_astar(grid, (0, 0), (2, 0), ReservationTable(grid))
         assert path.cost == 2
         assert path.cells() == [(0, 0), (1, 0), (2, 0)]
 
     def test_waits_out_a_vertex_reservation(self):
-        grid = GridMap(3, 1)
-        rt = ReservationTable()
-        rt.vertices.add((1, 0, 1))
-        rt._last_vertex[(1, 0)] = 1
-        rt.last_time = 1
+        # another agent crosses (1, 0) at t=1 on its way from (1, 1) to (1, 2)
+        grid = GridMap(3, 3)
+        rt = ReservationTable(grid)
+        rt.insert_path(TimedPath(1, ((1, 1, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3))))
         path = space_time_astar(grid, (0, 0), (2, 0), rt, 0)
         assert path.cost == 3  # wait once, then proceed
 
     def test_detours_around_goal_stay(self):
         grid = GridMap(3, 2)
-        rt = ReservationTable()
+        rt = ReservationTable(grid)
         rt.insert_path(TimedPath(9, ((1, 1, 0), (1, 0, 1))))  # parks on (1, 0) from t=1
         path = space_time_astar(grid, (0, 0), (2, 0), rt, 0)
         assert path.cost == 4
@@ -185,7 +216,7 @@ class TestSpaceTimeAstar:
         # another agent passes through our goal at t=3: arriving earlier and
         # parking would collide, so arrival must wait until after the visit
         grid = GridMap(5, 5)
-        rt = ReservationTable()
+        rt = ReservationTable(grid)
         rt.insert_path(TimedPath(7, ((2, 4, 0), (2, 3, 1), (2, 2, 2), (2, 1, 3), (2, 0, 4))))
         path = space_time_astar(grid, (2, 0), (2, 1), rt, 0)
         assert path is not None
@@ -193,14 +224,14 @@ class TestSpaceTimeAstar:
 
     def test_infeasible_within_horizon(self):
         grid = GridMap(3, 1)
-        rt = ReservationTable()
+        rt = ReservationTable(grid)
         rt.insert_path(TimedPath(1, ((1, 0, 0), (1, 0, 1))))  # parks mid-corridor
         assert space_time_astar(grid, (0, 0), (2, 0), rt, 0) is None
 
     def test_start_equals_goal_with_eviction(self):
         # another agent passes through the cell: leave, loop around, return
         grid = GridMap(5, 8)
-        rt = ReservationTable()
+        rt = ReservationTable(grid)
         rt.insert_path(
             TimedPath(101, ((4, 1, 0), (4, 0, 1), (4, 0, 2), (4, 0, 3), (3, 0, 4), (3, 1, 5), (3, 2, 6)))
         )
@@ -211,7 +242,7 @@ class TestSpaceTimeAstar:
 
     def test_reserved_start_rejected(self):
         grid = GridMap(3, 1)
-        rt = ReservationTable()
+        rt = ReservationTable(grid)
         rt.insert_path(TimedPath(1, ((0, 0, 0), (1, 0, 1))))
         with pytest.raises(ValueError):
             space_time_astar(grid, (0, 0), (2, 0), rt, 0)
@@ -222,13 +253,33 @@ class TestSpaceTimeAstar:
         with pytest.raises(ValueError):
             space_time_astar(grid, (0, 0), (3, 3), heuristic=h)
 
+    def test_heuristic_for_another_map_size_rejected(self):
+        h = ReverseResumableAStar(GridMap(5, 5), (2, 2))
+        with pytest.raises(ValueError, match="5x5"):
+            space_time_astar(GridMap(8, 8), (0, 0), (2, 2), heuristic=h)
+
+    def test_table_for_another_map_size_rejected(self):
+        rt = ReservationTable(GridMap(5, 5))
+        with pytest.raises(ValueError, match="5x5"):
+            space_time_astar(GridMap(8, 8), (0, 0), (2, 2), rt)
+
+    def test_goal_under_a_stay_fails_at_once(self):
+        # another agent parks on the goal: no arrival is ever safe, and the
+        # search gives up before it asks the heuristic anything
+        grid = GridMap(30, 30)
+        rt = ReservationTable(grid)
+        rt.insert_path(TimedPath(1, ((20, 20, 0), (21, 20, 1))))
+        h = ReverseResumableAStar(grid, (21, 20))
+        assert space_time_astar(grid, (0, 0), (21, 20), rt, heuristic=h) is None
+        assert h.expanded == 0
+
     def test_reservation_queries_match_fixed_path_oracle(self):
         # insert two crossing candidate paths, then probe every state and
         # move in a window against occupancy derived straight from the paths
         from oracles import moves_of, occupies
 
         grid = GridMap(12, 12)
-        rt = ReservationTable()
+        rt = ReservationTable(grid)
         red = TimedPath(0, tuple((5, y, i) for i, y in enumerate(range(2, 9))))
         green = TimedPath(2, tuple((9, y, i) for i, y in enumerate(range(1, 8))))
         rt.insert_path(red)
@@ -247,7 +298,7 @@ class TestSpaceTimeAstar:
     def test_deterministic(self):
         grid = generate_random_map(12, 12, 0.2, seed=2)
         free = grid.free_cells()
-        rt = ReservationTable()
+        rt = ReservationTable(grid)
         rt.insert_path(space_time_astar(grid, free[0], free[-1], rt, agent=0))
         a = space_time_astar(grid, free[3], free[-4], rt, agent=1)
         b = space_time_astar(grid, free[3], free[-4], rt, agent=1)
@@ -264,7 +315,7 @@ class TestSpaceTimeAstar:
             if len(free) < 6:
                 continue
             fixed = []
-            rt = ReservationTable()
+            rt = ReservationTable(grid)
             for agent in range(int(rng.integers(3))):
                 p = random_timed_path(rng, grid, agent + 10, max_len=8)
                 if rt.path_conflict(p) is None:
