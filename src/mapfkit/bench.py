@@ -59,7 +59,7 @@ _INT_COLUMNS = frozenset(
     name for name, f in zip(CSV_COLUMNS, fields(BenchmarkRecord)) if "int" in str(f.type)
 )
 # Columns derived from wall-clock measurement; everything else is
-# deterministic for a fixed seed, regardless of worker count.
+# deterministic for a fixed seed.
 WALL_TIME_COLUMNS = frozenset(
     {
         "hca_seconds",
@@ -145,7 +145,6 @@ class BenchConfig:
     p_obstacle: float = 0.1
     map_file: str | None = None
     data_rate: float = CommConfig().data_rate
-    workers: int = 1
     exact_threshold: int = 10
     timeout: float = 60.0
 
@@ -187,11 +186,7 @@ def run_benchmark(cfg: BenchConfig) -> tuple[list[BenchmarkRecord], SummaryStats
     """
     master = np.random.SeedSequence(cfg.seed)
     children = master.spawn(cfg.n_instances)
-    vcfg = VariantConfig(
-        exact_threshold=cfg.exact_threshold,
-        workers=cfg.workers,
-        comm=CommConfig(cfg.data_rate),
-    )
+    vcfg = VariantConfig(exact_threshold=cfg.exact_threshold, comm=CommConfig(cfg.data_rate))
     base_grid = (
         parse_movingai_map(Path(cfg.map_file).read_text()) if cfg.map_file else None
     )

@@ -43,6 +43,7 @@ EXIT_SOLVER = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # config errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 
 
@@ -120,11 +121,7 @@ def _cmd_solve_hca(args) -> int:
 
 def _cmd_solve_variant(args) -> int:
     _, instance = _load_instance(args.map, args.scen)
-    cfg = VariantConfig(
-        exact_threshold=args.exact_threshold,
-        workers=args.workers,
-        comm=CommConfig(args.data_rate),
-    )
+    cfg = VariantConfig(exact_threshold=args.exact_threshold, comm=CommConfig(args.data_rate))
     try:
         solution, trace = solve_variant(instance, cfg, args.timeout)
     except SolveFailure as exc:
@@ -150,7 +147,6 @@ def _cmd_bench(args) -> int:
         p_obstacle=args.p_obstacle,
         map_file=args.map,
         data_rate=args.data_rate,
-        workers=args.workers,
         exact_threshold=args.exact_threshold,
         timeout=args.timeout,
     )
@@ -219,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-variant", help="iterated independent-set planner")
     p.add_argument("--map", required=True)
     p.add_argument("--scen", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--exact-threshold", type=int, default=10)
     p.add_argument("--data-rate", type=float, default=CommConfig().data_rate)
     p.add_argument("--timeout", type=float, default=60.0)
@@ -235,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-rate", type=float, default=CommConfig().data_rate)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--exact-threshold", type=int, default=10)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--csv", help="write per-instance records here")

@@ -125,8 +125,8 @@ def parse_encoded(text: str) -> EncodedSegment:
     return EncodedSegment(agent, (x, y), start_time, "".join(moves))
 
 
-def segment_bits(k: int, segments, n_agents: int, map_side: int) -> int:
-    """Bits to transmit segment ``k`` of a path: fixed-width header, 3 bits
+def segment_bits(seg, n_agents: int, map_side: int) -> int:
+    """Bits to transmit one path segment: fixed-width header, 3 bits
     per ``n`` marker (one per unit of the segment's start time), and 3 bits
     per move plus the terminator.
 
@@ -135,14 +135,13 @@ def segment_bits(k: int, segments, n_agents: int, map_side: int) -> int:
     the absolute start time, which also covers gapped or late-starting
     segments.
     """
-    seg = segments[k]
     header = ceil_log2(n_agents) + 2 * ceil_log2(map_side)
     return header + BITS_PER_SYMBOL * seg.start_time + BITS_PER_SYMBOL * (seg.length + 1)
 
 
 def path_bits(segments, n_agents: int, map_side: int) -> int:
     """Total bits to transmit a path, segment by segment."""
-    return sum(segment_bits(k, segments, n_agents, map_side) for k in range(len(segments)))
+    return sum(segment_bits(seg, n_agents, map_side) for seg in segments)
 
 
 def pack_segment(enc: EncodedSegment, n_agents: int, map_side: int) -> bytes:

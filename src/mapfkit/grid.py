@@ -272,8 +272,6 @@ class Partitioning:
     """
 
     n_parts: int
-    p: int
-    q: int
     rows: int
     cols: int
     width: int
@@ -292,7 +290,7 @@ class Partitioning:
             rows, cols = p, q
         x_cuts = tuple(k * grid.width // cols for k in range(cols + 1))
         y_cuts = tuple(m * grid.height // rows for m in range(rows + 1))
-        return cls(n_parts, p, q, rows, cols, grid.width, grid.height, x_cuts, y_cuts)
+        return cls(n_parts, rows, cols, grid.width, grid.height, x_cuts, y_cuts)
 
     def locate(self, cell: Coord) -> int:
         """Partition id of an in-bounds cell, row-major over blocks; O(1)."""
@@ -306,12 +304,3 @@ class Partitioning:
             raise ValueError(f"partition id {part_id} out of range")
         row, col = divmod(part_id, self.cols)
         return (self.x_cuts[col], self.x_cuts[col + 1], self.y_cuts[row], self.y_cuts[row + 1])
-
-
-def partition_of(coord: Coord, grid: GridMap, part: Partitioning) -> int:
-    """Partition id of ``coord`` on ``grid``; raises for out-of-bounds points."""
-    if (part.width, part.height) != (grid.width, grid.height):
-        raise ValueError("partitioning was built for a different map size")
-    if not grid.in_bounds(coord):
-        raise ValueError(f"coordinate {coord} out of bounds")
-    return part.locate(coord)

@@ -8,39 +8,24 @@ at least one agent per round.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Collection, Mapping, Set
 
 from .conflicts import IntersectionGraph, connected_components
 
 EXACT_THRESHOLD_DEFAULT = 10
 
+def mis_exact(
+    nodes: Collection[int], adj: Mapping[int, Set[int]], max_nodes: int = EXACT_THRESHOLD_DEFAULT
+) -> set[int]:
+    """Maximum independent set of ``nodes`` by branch-and-bound over
+    include/exclude decisions; among maximum sets, the lexicographically
+    smallest sorted id tuple wins, so results are reproducible.
 
-@dataclass(frozen=True, eq=False)
-class ComponentGraph:
-    """One connected component of the collision graph, with adjacency."""
-
-    nodes: tuple[int, ...]
-    adj: dict[int, frozenset[int]]
-
-    @classmethod
-    def from_graph(cls, g: IntersectionGraph, component: Iterable[int]) -> "ComponentGraph":
-        members = frozenset(component)
-        adj: dict[int, set[int]] = {n: set() for n in members}
-        for a, b in g.edges:
-            if a in members and b in members:
-                adj[a].add(b)
-                adj[b].add(a)
-        return cls(tuple(sorted(members)), {n: frozenset(s) for n, s in adj.items()})
-
-
-def mis_exact(g: ComponentGraph, max_nodes: int = EXACT_THRESHOLD_DEFAULT) -> set[int]:
-    """Maximum independent set by branch-and-bound over include/exclude
-    decisions; among maximum sets, the lexicographically smallest sorted id
-    tuple wins, so results are reproducible."""
-    if len(g.nodes) > max_nodes:
-        raise ValueError(f"component of size {len(g.nodes)} exceeds the exact limit {max_nodes}")
-    adj = g.adj
+    ``adj`` maps each node to its neighbours, and ``nodes`` must hold every
+    neighbour of its members, as a connected component does.
+    """
+    if len(nodes) > max_nodes:
+        raise ValueError(f"component of size {len(nodes)} exceeds the exact limit {max_nodes}")
     best_size = -1
     best: tuple[int, ...] = ()
 
@@ -57,23 +42,24 @@ def mis_exact(g: ComponentGraph, max_nodes: int = EXACT_THRESHOLD_DEFAULT) -> se
         visit(tuple(u for u in rest if u not in adj[v]), chosen + (v,))
         visit(rest, chosen)
 
-    visit(tuple(sorted(g.nodes)), ())
+    visit(tuple(sorted(nodes)), ())
     return set(best)
 
 
-def mis_greedy(g: ComponentGraph) -> set[int]:
+def mis_greedy(nodes: Collection[int], adj: Mapping[int, Set[int]]) -> set[int]:
     """Maximal independent set via minimum-degree greedy: repeatedly take the
-    lowest-degree node (smallest id on ties) and discard its neighbors."""
-    remaining = set(g.nodes)
-    degree = {n: len(g.adj[n]) for n in g.nodes}
+    lowest-degree node (smallest id on ties) and discard its neighbors.
+    ``nodes`` and ``adj`` are as for ``mis_exact``."""
+    remaining = set(nodes)
+    degree = {n: len(adj[n]) for n in nodes}
     chosen: set[int] = set()
     while remaining:
         v = min(remaining, key=lambda n: (degree[n], n))
         chosen.add(v)
-        dropped = (g.adj[v] & remaining) | {v}
+        dropped = (adj[v] & remaining) | {v}
         remaining -= dropped
         for u in dropped:
-            for w in g.adj[u]:
+            for w in adj[u]:
                 if w in remaining:
                     degree[w] -= 1
     return chosen
@@ -84,11 +70,11 @@ def independent_set(
 ) -> set[int]:
     """Union over connected components of the exact solution (components up
     to ``exact_threshold`` nodes) or the greedy approximation (larger)."""
+    adj = g.adjacency()
     result: set[int] = set()
     for comp in connected_components(g):
-        cg = ComponentGraph.from_graph(g, comp)
         if len(comp) <= exact_threshold:
-            result |= mis_exact(cg, exact_threshold)
+            result |= mis_exact(comp, adj, exact_threshold)
         else:
-            result |= mis_greedy(cg)
+            result |= mis_greedy(comp, adj)
     return result

@@ -13,7 +13,6 @@ goal stays), so their costs are directly comparable.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,13 +20,13 @@ from .comm import (
     CommConfig,
     CommLedger,
     IterationComm,
-    comm_time,
     intersection_graph_bits,
     iteration_path_bits,
     reservation_table_bits,
     source_goal_bits,
 )
 from .conflicts import (
+    ConflictReport,
     IntersectionGraph,
     SubpathSegment,
     detect_conflicts_in_partition,
@@ -132,13 +131,7 @@ class Solution:
 @dataclass(frozen=True)
 class VariantConfig:
     exact_threshold: int = EXACT_THRESHOLD_DEFAULT
-    workers: int = 1
     comm: CommConfig = field(default_factory=CommConfig)
-    n_partitions: int | None = None  # default: one partition per agent
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
 
 
 @dataclass
@@ -150,8 +143,6 @@ class IterationRecord:
     candidate_paths: dict[int, TimedPath]
     ig: IntersectionGraph
     partition_pair_counts: dict[int, int]
-    partition_owners: dict[int, int]
-    intersections_by_agent: dict[int, int]
     independent: tuple[int, ...]
     comm: IterationComm
     search_seconds: dict[int, float]
@@ -171,7 +162,6 @@ class IterationRecord:
 class SolveTrace:
     n_agents: int
     map_side: int
-    n_partitions: int
     iterations: list[IterationRecord] = field(default_factory=list)
     ledger: CommLedger = field(default_factory=CommLedger)
     wall_seconds: float = 0.0
@@ -183,9 +173,6 @@ class SolveTrace:
     @property
     def ideal_parallel_seconds(self) -> float:
         return sum(r.parallel_seconds for r in self.iterations)
-
-    def comm_seconds(self, cfg: CommConfig | None = None) -> float:
-        return comm_time(self.ledger, cfg)
 
 
 def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Solution:
@@ -225,24 +212,27 @@ def solve_variant(
     """Iterated independent-set planning (no priority order needed).
 
     Each round: every pending agent plans against the current reservations
-    (round one degenerates to plain shortest paths), paths are split per
-    partition and checked partition-locally, the collision graph is
-    assembled, an independent set of it is fixed into the reservation table,
-    and the remaining agents replan. At least one agent is fixed per round,
-    so at most ``n_agents`` rounds run. Results are identical for any worker
-    count.
+    (round one degenerates to plain shortest paths), paths are split over
+    one map partition per agent and checked partition-locally, the collision
+    graph is assembled, an independent set of it is fixed into the
+    reservation table, and the remaining agents replan. At least one agent
+    is fixed per round, so at most ``n_agents`` rounds run. The first failed
+    search raises SolveFailure naming its agent.
+
+    The searches and partition checks of a round are independent, so the
+    round's ideal parallel latency is built from their times. They run one
+    after another, each timed on its own with nothing contending.
     """
     cfg = cfg if cfg is not None else VariantConfig()
     grid = instance.grid
     n = instance.n_agents
     map_side = max(grid.width, grid.height)
-    n_parts = cfg.n_partitions if cfg.n_partitions is not None else max(n, 1)
-    part = Partitioning.for_map(grid, n_parts)
-    trace = SolveTrace(n_agents=n, map_side=map_side, n_partitions=n_parts)
+    trace = SolveTrace(n_agents=n, map_side=map_side)
     if n == 0:
         return Solution.from_paths({}), trace
 
-    grid.neighbor_table  # build the shared neighbor table before any threads run
+    part = Partitioning.for_map(grid, n)
+    grid.neighbor_table  # build it now, outside the first agent's timed search
     deadline = time.perf_counter() + timeout
     area = grid.width * grid.height
     rt = ReservationTable(grid)
@@ -252,93 +242,70 @@ def solve_variant(
     pending = list(range(n))
     fixed: dict[int, TimedPath] = {}
     wall0 = time.perf_counter()
-    executor = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    try:
-        while pending:
-            if time.perf_counter() > deadline:
-                raise SolveTimeout(f"timed out after {timeout} s")
-            horizon = rt.last_time + area
-
-            def plan(agent: int):
-                t0 = time.perf_counter()
-                src, dst = instance.agents[agent]
-                path = space_time_astar(
-                    grid, src, dst, rt, 0,
-                    horizon=horizon, heuristic=heuristics[agent], agent=agent,
-                )
-                return agent, path, time.perf_counter() - t0
-
-            planned = list(executor.map(plan, pending)) if executor else [plan(a) for a in pending]
-            search_seconds: dict[int, float] = {}
-            candidates: dict[int, TimedPath] = {}
-            for agent, path, dt in planned:
-                search_seconds[agent] = dt
-                if path is None:
-                    raise SolveFailure(f"no feasible path for agent {agent}", agent=agent)
-                candidates[agent] = path
-
-            segments_by_agent = {a: split_path(candidates[a], part, grid) for a in pending}
-            by_partition: dict[int, list[SubpathSegment]] = {}
-            for a in pending:
-                for seg in segments_by_agent[a]:
-                    by_partition.setdefault(seg.partition, []).append(seg)
-            det_horizon = max(candidates[a].arrival_time for a in pending)
-
-            def detect(pid: int):
-                t0 = time.perf_counter()
-                report = detect_conflicts_in_partition(by_partition[pid], det_horizon)
-                return pid, report, time.perf_counter() - t0
-
-            pids = sorted(by_partition)
-            detected = list(executor.map(detect, pids)) if executor else [detect(p) for p in pids]
-
-            server0 = time.perf_counter()
-            detect_seconds: dict[int, float] = {}
-            pair_counts: dict[int, int] = {}
-            edges: set[tuple[int, int]] = set()
-            for pid, report, dt in detected:
-                detect_seconds[pid] = dt
-                pair_counts[pid] = report.count
-                edges |= report.pairs
-            ig = IntersectionGraph(tuple(pending), frozenset(edges))
-            chosen = tuple(sorted(independent_set(ig, cfg.exact_threshold)))
-            owners = {pid: pending[pid % len(pending)] for pid in range(n_parts)}
-            e_counts = {a: 0 for a in pending}
-            for pid, cnt in pair_counts.items():
-                e_counts[owners[pid]] += cnt
-            comm_entry = IterationComm(
-                source_goal_bits=source_goal_bits(len(pending), map_side),
-                path_bits=iteration_path_bits(
-                    (segments_by_agent[a] for a in pending), n, map_side
-                ),
-                ig_bits=intersection_graph_bits(pair_counts, n),
+    while pending:
+        if time.perf_counter() > deadline:
+            raise SolveTimeout(f"timed out after {timeout} s")
+        horizon = rt.last_time + area
+        search_seconds: dict[int, float] = {}
+        candidates: dict[int, TimedPath] = {}
+        for agent in pending:
+            src, dst = instance.agents[agent]
+            t0 = time.perf_counter()
+            path = space_time_astar(
+                grid, src, dst, rt, 0,
+                horizon=horizon, heuristic=heuristics[agent], agent=agent,
             )
-            for a in chosen:
-                rt.insert_path(candidates[a])
-                fixed[a] = candidates[a]
-            server_seconds = time.perf_counter() - server0
+            search_seconds[agent] = time.perf_counter() - t0
+            if path is None:
+                raise SolveFailure(f"no feasible path for agent {agent}", agent=agent)
+            candidates[agent] = path
 
-            trace.iterations.append(
-                IterationRecord(
-                    pending=tuple(pending),
-                    candidate_paths=dict(candidates),
-                    ig=ig,
-                    partition_pair_counts=pair_counts,
-                    partition_owners=owners,
-                    intersections_by_agent=e_counts,
-                    independent=chosen,
-                    comm=comm_entry,
-                    search_seconds=search_seconds,
-                    detect_seconds=detect_seconds,
-                    server_seconds=server_seconds,
-                )
+        segments_by_agent = {a: split_path(candidates[a], part, grid) for a in pending}
+        by_partition: dict[int, list[SubpathSegment]] = {}
+        for segments in segments_by_agent.values():
+            for seg in segments:
+                by_partition.setdefault(seg.partition, []).append(seg)
+        det_horizon = max(path.arrival_time for path in candidates.values())
+        detect_seconds: dict[int, float] = {}
+        reports: list[ConflictReport] = []
+        for pid in sorted(by_partition):
+            t0 = time.perf_counter()
+            reports.append(detect_conflicts_in_partition(by_partition[pid], det_horizon))
+            detect_seconds[pid] = time.perf_counter() - t0
+
+        server0 = time.perf_counter()
+        pair_counts = {r.partition: r.count for r in reports}
+        edges: set[tuple[int, int]] = set()
+        for r in reports:
+            edges |= r.pairs
+        ig = IntersectionGraph(tuple(pending), frozenset(edges))
+        chosen = tuple(sorted(independent_set(ig, cfg.exact_threshold)))
+        comm_entry = IterationComm(
+            source_goal_bits=source_goal_bits(len(pending), map_side),
+            path_bits=iteration_path_bits(segments_by_agent.values(), n, map_side),
+            ig_bits=intersection_graph_bits(pair_counts, n),
+        )
+        for a in chosen:
+            rt.insert_path(candidates[a])
+            fixed[a] = candidates[a]
+        server_seconds = time.perf_counter() - server0
+
+        trace.iterations.append(
+            IterationRecord(
+                pending=tuple(pending),
+                candidate_paths=candidates,
+                ig=ig,
+                partition_pair_counts=pair_counts,
+                independent=chosen,
+                comm=comm_entry,
+                search_seconds=search_seconds,
+                detect_seconds=detect_seconds,
+                server_seconds=server_seconds,
             )
-            trace.ledger.iterations.append(comm_entry)
-            chosen_set = set(chosen)
-            pending = [a for a in pending if a not in chosen_set]
-    finally:
-        if executor is not None:
-            executor.shutdown()
+        )
+        trace.ledger.iterations.append(comm_entry)
+        chosen_set = set(chosen)
+        pending = [a for a in pending if a not in chosen_set]
 
     trace.ledger.rt_bits = reservation_table_bits(
         [fixed[i].cost for i in range(n)], n, map_side

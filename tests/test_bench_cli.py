@@ -1,3 +1,4 @@
+import hashlib
 import os
 import statistics
 import subprocess
@@ -39,6 +40,15 @@ def drop_wall_time(csv_text):
     header = rows[0]
     keep = [i for i, name in enumerate(header) if name not in WALL_TIME_COLUMNS]
     return "\n".join(",".join(row[i] for i in keep) for row in rows)
+
+
+# First 16 hex digits of the sha256 of a fixed-seed benchmark CSV outside the
+# wall-time columns. tests/test_golden.py pins the paths; these pin the rest
+# of each record: statuses, costs, rounds and communication bits.
+PINNED_CSV_DIGESTS = [
+    (dict(n_agents=8, n_instances=6, seed=909, width=20, height=20), "89974071604d2a72"),
+    (dict(n_agents=4, n_instances=3, seed=11, width=12, height=12), "61e23f33c6328f1d"),
+]
 
 
 class TestCompare:
@@ -101,11 +111,16 @@ class TestRunBenchmark:
         assert stats.median == statistics.median(values)
 
     def test_deterministic_across_worker_counts(self):
-        cfg1 = BenchConfig(n_agents=4, n_instances=3, seed=11, width=12, height=12, workers=1)
-        cfg8 = BenchConfig(n_agents=4, n_instances=3, seed=11, width=12, height=12, workers=8)
-        csv1 = emit_csv(run_benchmark(cfg1)[0])
-        csv8 = emit_csv(run_benchmark(cfg8)[0])
-        assert drop_wall_time(csv1) == drop_wall_time(csv8)
+        # the planner runs serially; a same-seed repeat must match byte for byte
+        cfg = BenchConfig(n_agents=4, n_instances=3, seed=11, width=12, height=12)
+        first = emit_csv(run_benchmark(cfg)[0])
+        again = emit_csv(run_benchmark(cfg)[0])
+        assert drop_wall_time(first) == drop_wall_time(again)
+
+    @pytest.mark.parametrize("kwargs,expected", PINNED_CSV_DIGESTS)
+    def test_pinned_csv_digest(self, kwargs, expected):
+        text = drop_wall_time(emit_csv(run_benchmark(BenchConfig(**kwargs))[0]))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected
 
 
 class TestCsv:
@@ -194,12 +209,19 @@ class TestCli:
 
     def test_solve_variant(self, instance_files, capsys):
         map_path, scen_path = instance_files
-        code = main(
-            ["solve-variant", "--map", str(map_path), "--scen", str(scen_path), "--workers", "2"]
-        )
+        code = main(["solve-variant", "--map", str(map_path), "--scen", str(scen_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "iterations=" in out and "comm_bits=" in out
+
+    def test_worker_flag_rejected(self, instance_files, capsys):
+        map_path, scen_path = instance_files
+        assert main(
+            ["solve-variant", "--map", str(map_path), "--scen", str(scen_path), "--workers", "2"]
+        ) == 1
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert main(["bench", "--agents", "2", "--instances", "1", "--workers", "2"]) == 1
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_validate_rejects_corrupted_paths(self, tmp_path, instance_files):
         map_path, scen_path = instance_files

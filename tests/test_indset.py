@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from mapfkit import ComponentGraph, IntersectionGraph, independent_set, mis_exact, mis_greedy
+from mapfkit import IntersectionGraph, independent_set, mis_exact, mis_greedy
 
 from oracles import max_independent_set_size
 
 
 def component(nodes, edges):
-    return ComponentGraph.from_graph(
-        IntersectionGraph(tuple(nodes), frozenset(edges)), nodes
-    )
+    """The ``(nodes, adj)`` pair that ``mis_exact`` and ``mis_greedy`` read."""
+    return nodes, IntersectionGraph(tuple(nodes), frozenset(edges)).adjacency()
 
 
 def is_independent(nodes, edges, chosen):
@@ -38,22 +37,22 @@ def random_graph(rng, n, p=0.4):
 class TestExact:
     def test_triangle_tie_break(self):
         g = component([0, 1, 2], {(0, 1), (1, 2), (0, 2)})
-        assert mis_exact(g) == {0}
+        assert mis_exact(*g) == {0}
 
     def test_path_graph(self):
         g = component([0, 1, 2], {(0, 1), (1, 2)})
-        assert mis_exact(g) == {0, 2}
+        assert mis_exact(*g) == {0, 2}
 
     def test_too_large_rejected(self):
         nodes = list(range(11))
         g = component(nodes, set())
         with pytest.raises(ValueError):
-            mis_exact(g, max_nodes=10)
+            mis_exact(*g, max_nodes=10)
 
     def test_lexicographic_among_maximum(self):
         # two maximum sets {0, 3} and {1, 2}: the smaller tuple wins
         g = component([0, 1, 2, 3], {(0, 1), (0, 2), (1, 3), (2, 3)})
-        assert mis_exact(g) == {0, 3}
+        assert mis_exact(*g) == {0, 3}
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(13)
@@ -61,7 +60,7 @@ class TestExact:
             n = int(rng.integers(1, 10))
             nodes, edges = random_graph(rng, n, p=float(rng.uniform(0.1, 0.7)))
             g = component(nodes, edges)
-            result = mis_exact(g)
+            result = mis_exact(*g)
             assert is_independent(nodes, edges, result)
             assert len(result) == max_independent_set_size(nodes, edges)
 
@@ -69,11 +68,11 @@ class TestExact:
 class TestGreedy:
     def test_edgeless_takes_all(self):
         g = component([4, 7, 9], set())
-        assert mis_greedy(g) == {4, 7, 9}
+        assert mis_greedy(*g) == {4, 7, 9}
 
     def test_star_takes_leaves(self):
         g = component([0, 1, 2, 3, 4, 5], {(0, i) for i in range(1, 6)})
-        assert mis_greedy(g) == {1, 2, 3, 4, 5}
+        assert mis_greedy(*g) == {1, 2, 3, 4, 5}
 
     def test_always_independent_and_maximal(self):
         rng = np.random.default_rng(29)
@@ -81,7 +80,7 @@ class TestGreedy:
             n = int(rng.integers(1, 20))
             nodes, edges = random_graph(rng, n, p=float(rng.uniform(0.05, 0.6)))
             g = component(nodes, edges)
-            result = mis_greedy(g)
+            result = mis_greedy(*g)
             assert is_independent(nodes, edges, result)
             assert is_maximal(nodes, edges, result)
 

@@ -4,18 +4,21 @@ import pytest
 from mapfkit import (
     GridMap,
     InvalidInstanceError,
+    Partitioning,
     ProblemInstance,
     SolveFailure,
     SolveTimeout,
-    VariantConfig,
     astar_static,
+    build_intersection_graph,
     generate_instance,
     generate_random_map,
+    partition_conflict_reports,
     solve_hca,
     solve_variant,
     validate_solution,
 )
 
+import mapfkit.solver
 from oracles import time_expanded_shortest
 
 
@@ -202,10 +205,11 @@ class TestSolveVariant:
             assert trace.n_iterations <= 6
 
     def test_worker_count_does_not_change_results(self):
+        # the planner runs serially; a same-seed repeat must match exactly
         grid = generate_random_map(15, 15, 0.15, seed=33)
         inst = generate_instance(grid, 6, seed=7)
-        s1, t1 = solve_variant(inst, VariantConfig(workers=1))
-        s2, t2 = solve_variant(inst, VariantConfig(workers=8))
+        s1, t1 = solve_variant(inst)
+        s2, t2 = solve_variant(inst)
         assert s1.paths == s2.paths
         assert s1.sum_of_costs == s2.sum_of_costs
         assert [r.independent for r in t1.iterations] == [r.independent for r in t2.iterations]
@@ -226,13 +230,37 @@ class TestSolveVariant:
         assert trace.ledger.rt_bits > 0
         assert all(r.comm.path_bits > 0 for r in trace.iterations)
 
-    def test_partition_owners_cover_all_partitions(self):
+    def test_round_conflicts_match_library_pipeline(self):
+        # the solver's own split -> group -> detect loop must agree, round by
+        # round, with partition_conflict_reports and build_intersection_graph
         inst = crossing_pairs_instance()
+        grid = inst.grid
+        part = Partitioning.for_map(grid, inst.n_agents)
         _, trace = solve_variant(inst)
-        first = trace.iterations[0]
-        assert set(first.partition_owners) == set(range(4))
-        assert set(first.partition_owners.values()) <= set(first.pending)
-        # intersection totals agree between per-partition and per-agent views
-        assert sum(first.partition_pair_counts.values()) == sum(
-            first.intersections_by_agent.values()
+        assert trace.iterations[0].ig.n_edges == 2
+        for rec in trace.iterations:
+            paths = list(rec.candidate_paths.values())
+            reports = partition_conflict_reports(paths, part, grid)
+            assert rec.partition_pair_counts == {pid: r.count for pid, r in reports.items()}
+            assert rec.ig.edges == build_intersection_graph(paths, part, grid).edges
+
+    def test_round_stops_at_first_failed_search(self, monkeypatch):
+        # two walled-off corridors, each with a head-on pair: round one fixes
+        # agents 0 and 2, and in round two agent 1 is trapped behind agent 0
+        grid = GridMap(5, 3, frozenset((x, 1) for x in range(5)))
+        inst = ProblemInstance(
+            grid,
+            (((0, 0), (4, 0)), ((4, 0), (0, 0)), ((0, 2), (4, 2)), ((4, 2), (0, 2))),
         )
+        searched = []
+        search = mapfkit.solver.space_time_astar
+
+        def counted(*args, **kwargs):
+            searched.append(kwargs["agent"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(mapfkit.solver, "space_time_astar", counted)
+        with pytest.raises(SolveFailure) as exc:
+            solve_variant(inst)
+        assert exc.value.agent == 1
+        assert searched == [0, 1, 2, 3, 1]  # agent 3 is not searched again
