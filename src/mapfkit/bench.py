@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .comm import CommConfig, comm_time
+from .comm import DEFAULT_DATA_RATE, CommConfig, comm_time, speedup
 from .grid import generate_random_map, parse_movingai_map
+from .indset import EXACT_THRESHOLD_DEFAULT
 from .instances import GenerationError, generate_instance
 from .solver import ProblemInstance, SolveFailure, VariantConfig, solve_hca, solve_variant
 
@@ -88,10 +89,11 @@ def compare(
     cfg: VariantConfig | None = None,
     timeout: float = 60.0,
     instance_id: int = 0,
+    comm: CommConfig | None = None,
 ) -> BenchmarkRecord:
     """Run both planners on one instance and compute variant/baseline
-    ratios; a failing planner yields a failure status instead of ratios."""
-    cfg = cfg if cfg is not None else VariantConfig()
+    ratios; a failing planner yields a failure status instead of ratios.
+    The ledger is priced at ``comm``'s data rate."""
     record = BenchmarkRecord(instance_id=instance_id, status="ok", n_agents=instance.n_agents)
 
     t0 = time.perf_counter()
@@ -113,7 +115,7 @@ def compare(
         record.variant_makespan = variant.makespan
         record.iterations = trace.n_iterations
         record.comm_bits = trace.ledger.total_bits()
-        record.comm_seconds = comm_time(trace.ledger, cfg.comm)
+        record.comm_seconds = comm_time(trace.ledger, comm)
         record.variant_wall_seconds = trace.wall_seconds
         record.variant_ideal_seconds = trace.ideal_parallel_seconds
     if hca is None and variant is None:
@@ -127,8 +129,9 @@ def compare(
         record.makespan_ratio = variant.makespan / hca.makespan
         record.time_ratio_measured = record.variant_wall_seconds / record.hca_seconds
         record.time_ratio_ideal = record.variant_ideal_seconds / record.hca_seconds
-        denom = record.variant_ideal_seconds + record.comm_seconds
-        record.speedup = record.hca_seconds / denom if denom > 0 else float("inf")
+        record.speedup = speedup(
+            record.hca_seconds, record.variant_ideal_seconds, record.comm_seconds
+        )
     return record
 
 
@@ -144,8 +147,8 @@ class BenchConfig:
     height: int = 50
     p_obstacle: float = 0.1
     map_file: str | None = None
-    data_rate: float = CommConfig().data_rate
-    exact_threshold: int = 10
+    data_rate: float = DEFAULT_DATA_RATE
+    exact_threshold: int = EXACT_THRESHOLD_DEFAULT
     timeout: float = 60.0
 
 
@@ -186,7 +189,8 @@ def run_benchmark(cfg: BenchConfig) -> tuple[list[BenchmarkRecord], SummaryStats
     """
     master = np.random.SeedSequence(cfg.seed)
     children = master.spawn(cfg.n_instances)
-    vcfg = VariantConfig(exact_threshold=cfg.exact_threshold, comm=CommConfig(cfg.data_rate))
+    rate = CommConfig(cfg.data_rate)  # rejects a bad rate before any solve
+    vcfg = VariantConfig(exact_threshold=cfg.exact_threshold)
     base_grid = (
         parse_movingai_map(Path(cfg.map_file).read_text()) if cfg.map_file else None
     )
@@ -206,7 +210,7 @@ def run_benchmark(cfg: BenchConfig) -> tuple[list[BenchmarkRecord], SummaryStats
             )
             continue
         order = [int(a) for a in np.random.default_rng(order_ss).permutation(cfg.n_agents)]
-        records.append(compare(instance, order, vcfg, cfg.timeout, instance_id=i))
+        records.append(compare(instance, order, vcfg, cfg.timeout, instance_id=i, comm=rate))
     return records, summarize(records)
 
 

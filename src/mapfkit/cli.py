@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .bench import BenchConfig, emit_csv, emit_plot_data, run_benchmark
-from .comm import CommConfig, comm_time
+from .comm import DEFAULT_DATA_RATE, CommConfig, comm_time
 from .conflicts import validate_solution
 from .grid import GridMap, MapFormatError, generate_random_map, parse_movingai_map, serialize_movingai_map
+from .indset import EXACT_THRESHOLD_DEFAULT
 from .instances import (
     GenerationError,
     ScenarioFormatError,
@@ -77,6 +78,8 @@ def read_paths(text: str) -> dict[int, TimedPath]:
         states = tuple(
             tuple(int(v) for v in token.split(",")) for token in rest.split()
         )
+        if any(len(st) != 3 for st in states):
+            raise ValueError(f"agent {agent}: each state must be x,y,t")
         paths[agent] = TimedPath(agent, states)  # type: ignore[arg-type]
     return paths
 
@@ -121,7 +124,8 @@ def _cmd_solve_hca(args) -> int:
 
 def _cmd_solve_variant(args) -> int:
     _, instance = _load_instance(args.map, args.scen)
-    cfg = VariantConfig(exact_threshold=args.exact_threshold, comm=CommConfig(args.data_rate))
+    rate = CommConfig(args.data_rate)  # rejects a bad rate before solving
+    cfg = VariantConfig(exact_threshold=args.exact_threshold)
     try:
         solution, trace = solve_variant(instance, cfg, args.timeout)
     except SolveFailure as exc:
@@ -130,7 +134,7 @@ def _cmd_solve_variant(args) -> int:
     _print_solution("variant", solution)
     print(
         f"iterations={trace.n_iterations} comm_bits={trace.ledger.total_bits()} "
-        f"comm_seconds={comm_time(trace.ledger, cfg.comm):.6g}"
+        f"comm_seconds={comm_time(trace.ledger, rate):.6g}"
     )
     if args.paths_out:
         Path(args.paths_out).write_text(write_paths(solution.paths))
@@ -215,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-variant", help="iterated independent-set planner")
     p.add_argument("--map", required=True)
     p.add_argument("--scen", required=True)
-    p.add_argument("--exact-threshold", type=int, default=10)
-    p.add_argument("--data-rate", type=float, default=CommConfig().data_rate)
+    p.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT)
+    p.add_argument("--data-rate", type=float, default=DEFAULT_DATA_RATE)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--paths-out", help="dump the solution paths here")
     p.set_defaults(func=_cmd_solve_variant)
@@ -229,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=int, default=16)
     p.add_argument("--instances", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data-rate", type=float, default=CommConfig().data_rate)
-    p.add_argument("--exact-threshold", type=int, default=10)
+    p.add_argument("--data-rate", type=float, default=DEFAULT_DATA_RATE)
+    p.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--csv", help="write per-instance records here")
     p.add_argument("--plot-data", help="write plot series here")

@@ -39,17 +39,12 @@ def ceil_log2(n: int) -> int:
 
 @dataclass(frozen=True)
 class EncodedSegment:
-    """Wire form of one segment: header fields plus the move-symbol string.
-
-    ``partition`` is carried along for convenient round-trips; it is not part
-    of the transmitted data and does not count toward any bit total.
-    """
+    """Wire form of one segment: header fields plus the move-symbol string."""
 
     agent: int
     start: Coord
     start_time: int
     moves: str
-    partition: int = -1
 
     def __post_init__(self):
         if self.start_time < 0:
@@ -79,11 +74,12 @@ def encode_segment(seg: SubpathSegment) -> EncodedSegment:
     moves = []
     for (x0, y0, _), (x1, y1, _) in zip(sts, sts[1:]):
         moves.append(MOVE_OF_DELTA[(x1 - x0, y1 - y0)])
-    return EncodedSegment(seg.agent, sts[0][:2], sts[0][2], "".join(moves), seg.partition)
+    return EncodedSegment(seg.agent, sts[0][:2], sts[0][2], "".join(moves))
 
 
 def decode_segment(enc: EncodedSegment) -> SubpathSegment:
-    """Reconstruct the exact timed states from an encoded segment."""
+    """Reconstruct the exact timed states from an encoded segment. The
+    partition id is not on the wire, so the segment carries -1."""
     x, y = enc.start
     t = enc.start_time
     states = [(x, y, t)]
@@ -91,7 +87,7 @@ def decode_segment(enc: EncodedSegment) -> SubpathSegment:
         dx, dy = DELTA_OF_MOVE[sym]
         x, y, t = x + dx, y + dy, t + 1
         states.append((x, y, t))
-    return SubpathSegment(enc.agent, enc.partition, tuple(states))
+    return SubpathSegment(enc.agent, -1, tuple(states))
 
 
 def parse_encoded(text: str) -> EncodedSegment:

@@ -9,7 +9,7 @@ to seconds at a configurable data rate. The default rate reads "10 MBps" as
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .codec import BITS_PER_SYMBOL, ceil_log2, path_bits
@@ -41,22 +41,13 @@ class IterationComm:
 
 @dataclass
 class CommLedger:
-    """Per-round bit entries plus the final reservation-table broadcast.
-
-    The source/goal broadcast is tracked separately because the latency
-    formula can be read with or without it; both totals are reportable.
-    """
+    """Per-round bit entries plus the final reservation-table broadcast."""
 
     iterations: list[IterationComm] = field(default_factory=list)
     rt_bits: int = 0
 
-    def total_bits(self, include_source_goal: bool = True) -> int:
-        bits = self.rt_bits
-        for it in self.iterations:
-            bits += it.path_bits + it.ig_bits
-            if include_source_goal:
-                bits += it.source_goal_bits
-        return bits
+    def total_bits(self) -> int:
+        return self.rt_bits + sum(it.total_bits for it in self.iterations)
 
 
 def source_goal_bits(n_agents: int, map_side: int) -> int:
@@ -74,15 +65,10 @@ def iteration_path_bits(segment_lists: Iterable, n_agents: int, map_side: int) -
     return sum(path_bits(segs, n_agents, map_side) for segs in segment_lists)
 
 
-def intersection_graph_bits(intersections_found: Iterable[int] | Mapping, n_agents: int) -> int:
+def intersection_graph_bits(pair_counts: Iterable[int], n_agents: int) -> int:
     """Bits to report collision pairs: two agent ids per observed
     intersection, summed over reporters."""
-    counts = (
-        intersections_found.values()
-        if isinstance(intersections_found, Mapping)
-        else intersections_found
-    )
-    return 2 * ceil_log2(n_agents) * sum(counts)
+    return 2 * ceil_log2(n_agents) * sum(pair_counts)
 
 
 def reservation_table_bits(path_lengths: Iterable[int], n_agents: int, map_side: int) -> int:
@@ -92,12 +78,10 @@ def reservation_table_bits(path_lengths: Iterable[int], n_agents: int, map_side:
     return sum(header + BITS_PER_SYMBOL * (length + 1) for length in path_lengths)
 
 
-def comm_time(
-    ledger: CommLedger, cfg: CommConfig | None = None, include_source_goal: bool = True
-) -> float:
+def comm_time(ledger: CommLedger, cfg: CommConfig | None = None) -> float:
     """Seconds to move the ledger's bits at the configured data rate."""
     cfg = cfg if cfg is not None else CommConfig()
-    return ledger.total_bits(include_source_goal) / cfg.data_rate
+    return ledger.total_bits() / cfg.data_rate
 
 
 def speedup(baseline_seconds: float, variant_seconds: float, comm_seconds: float) -> float:

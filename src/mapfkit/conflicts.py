@@ -90,9 +90,9 @@ def split_path(path: TimedPath, part: Partitioning, grid: GridMap) -> list[Subpa
 
 @dataclass(frozen=True)
 class ConflictReport:
-    """Deduplicated colliding agent pairs observed within one partition."""
+    """Deduplicated colliding agent pairs observed within one partition;
+    callers file reports under the partition id they checked."""
 
-    partition: int
     pairs: frozenset[tuple[int, int]]
 
     @property
@@ -114,7 +114,6 @@ def detect_conflicts_in_partition(
     a segment) participate in swap detection here and in the neighboring
     partition alike; set semantics dedupe the double sighting downstream.
     """
-    partition = segments[0].partition if segments else -1
     pairs: set[tuple[int, int]] = set()
     occupancy: dict[TimedState, list[int]] = {}
     cell_visits: dict[Coord, list[tuple[int, int]]] = {}
@@ -163,7 +162,7 @@ def detect_conflicts_in_partition(
                 for b in rev:
                     if a != b:
                         pairs.add(_pair(a, b))
-    return ConflictReport(partition, frozenset(pairs))
+    return ConflictReport(frozenset(pairs))
 
 
 @dataclass(frozen=True)
@@ -248,8 +247,8 @@ def validate_solution(
     """Check each path and every pair under full collision semantics,
     including indefinite goal stays up to the global makespan. Every path
     must start at t=0, and with ``endpoints`` every listed agent must have a
-    path. Returns the violations found; an empty list means the solution is
-    valid.
+    path and every path must belong to a listed agent. Returns the violations
+    found; an empty list means the solution is valid.
     """
     items = list(paths.values()) if isinstance(paths, Mapping) else list(paths)
     violations: list[str] = []
@@ -265,6 +264,9 @@ def validate_solution(
             if not grid.is_free((x, y)):
                 violations.append(f"agent {a}: state ({x}, {y}, {t}) blocked or out of bounds")
         if endpoints is not None:
+            if a not in listed:
+                violations.append(f"agent {a}: not in the instance")
+                continue
             src, dst = endpoints[a]
             if path.start != tuple(src):
                 violations.append(f"agent {a}: starts at {path.start}, expected {tuple(src)}")

@@ -265,19 +265,20 @@ class Partitioning:
 
     Composite counts use the balanced ``p x q`` block grid (``q`` columns of
     blocks along x, ``p`` rows along y). A prime count degenerates to strips,
-    cut along the taller axis when the map is taller than wide. ``x_cuts``
-    and ``y_cuts`` give the integer cut positions; printed as closed
-    intervals they overlap at block boundaries, so the floor-based ``locate``
-    is the operative assignment and the rectangles are descriptive.
+    cut along the taller axis when the map is taller than wide. Block
+    rectangles printed as closed intervals overlap at block boundaries, so
+    the floor-based ``locate`` is the operative assignment and the
+    rectangles are descriptive.
     """
 
-    n_parts: int
     rows: int
     cols: int
     width: int
     height: int
-    x_cuts: tuple[int, ...]
-    y_cuts: tuple[int, ...]
+
+    @property
+    def n_parts(self) -> int:
+        return self.rows * self.cols
 
     @classmethod
     def for_map(cls, grid: GridMap, n_parts: int) -> "Partitioning":
@@ -288,9 +289,7 @@ class Partitioning:
             rows, cols = n_parts, 1  # strips along the taller side
         else:
             rows, cols = p, q
-        x_cuts = tuple(k * grid.width // cols for k in range(cols + 1))
-        y_cuts = tuple(m * grid.height // rows for m in range(rows + 1))
-        return cls(n_parts, rows, cols, grid.width, grid.height, x_cuts, y_cuts)
+        return cls(rows, cols, grid.width, grid.height)
 
     def locate(self, cell: Coord) -> int:
         """Partition id of an in-bounds cell, row-major over blocks; O(1)."""
@@ -303,4 +302,5 @@ class Partitioning:
         if not 0 <= part_id < self.n_parts:
             raise ValueError(f"partition id {part_id} out of range")
         row, col = divmod(part_id, self.cols)
-        return (self.x_cuts[col], self.x_cuts[col + 1], self.y_cuts[row], self.y_cuts[row + 1])
+        w, h, c, r = self.width, self.height, self.cols, self.rows
+        return (col * w // c, (col + 1) * w // c, row * h // r, (row + 1) * h // r)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .comm import (
-    CommConfig,
     CommLedger,
     IterationComm,
     intersection_graph_bits,
@@ -131,20 +130,19 @@ class Solution:
 @dataclass(frozen=True)
 class VariantConfig:
     exact_threshold: int = EXACT_THRESHOLD_DEFAULT
-    comm: CommConfig = field(default_factory=CommConfig)
 
 
 @dataclass
 class IterationRecord:
     """Everything one solve round produced, enough to re-derive the
-    communication ledger and the idealized parallel time."""
+    idealized parallel time; the round's bits are the matching entry of
+    ``SolveTrace.ledger.iterations``."""
 
     pending: tuple[int, ...]
     candidate_paths: dict[int, TimedPath]
     ig: IntersectionGraph
     partition_pair_counts: dict[int, int]
     independent: tuple[int, ...]
-    comm: IterationComm
     search_seconds: dict[int, float]
     detect_seconds: dict[int, float]
     server_seconds: float
@@ -160,8 +158,6 @@ class IterationRecord:
 
 @dataclass
 class SolveTrace:
-    n_agents: int
-    map_side: int
     iterations: list[IterationRecord] = field(default_factory=list)
     ledger: CommLedger = field(default_factory=CommLedger)
     wall_seconds: float = 0.0
@@ -227,7 +223,7 @@ def solve_variant(
     grid = instance.grid
     n = instance.n_agents
     map_side = max(grid.width, grid.height)
-    trace = SolveTrace(n_agents=n, map_side=map_side)
+    trace = SolveTrace()
     if n == 0:
         return Solution.from_paths({}), trace
 
@@ -267,23 +263,23 @@ def solve_variant(
                 by_partition.setdefault(seg.partition, []).append(seg)
         det_horizon = max(path.arrival_time for path in candidates.values())
         detect_seconds: dict[int, float] = {}
-        reports: list[ConflictReport] = []
+        reports: dict[int, ConflictReport] = {}
         for pid in sorted(by_partition):
             t0 = time.perf_counter()
-            reports.append(detect_conflicts_in_partition(by_partition[pid], det_horizon))
+            reports[pid] = detect_conflicts_in_partition(by_partition[pid], det_horizon)
             detect_seconds[pid] = time.perf_counter() - t0
 
         server0 = time.perf_counter()
-        pair_counts = {r.partition: r.count for r in reports}
+        pair_counts = {pid: r.count for pid, r in reports.items()}
         edges: set[tuple[int, int]] = set()
-        for r in reports:
+        for r in reports.values():
             edges |= r.pairs
         ig = IntersectionGraph(tuple(pending), frozenset(edges))
         chosen = tuple(sorted(independent_set(ig, cfg.exact_threshold)))
         comm_entry = IterationComm(
             source_goal_bits=source_goal_bits(len(pending), map_side),
             path_bits=iteration_path_bits(segments_by_agent.values(), n, map_side),
-            ig_bits=intersection_graph_bits(pair_counts, n),
+            ig_bits=intersection_graph_bits(pair_counts.values(), n),
         )
         for a in chosen:
             rt.insert_path(candidates[a])
@@ -297,7 +293,6 @@ def solve_variant(
                 ig=ig,
                 partition_pair_counts=pair_counts,
                 independent=chosen,
-                comm=comm_entry,
                 search_seconds=search_seconds,
                 detect_seconds=detect_seconds,
                 server_seconds=server_seconds,

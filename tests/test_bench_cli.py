@@ -232,6 +232,46 @@ class TestCli:
         )
         assert code == 2
 
+    def test_validate_reports_unknown_agent(self, tmp_path):
+        # a paths line for an agent the scenario does not list is a
+        # violation (exit 2), not a crash
+        grid = GridMap(8, 8)
+        inst = ProblemInstance(grid, (((0, 0), (4, 4)),))
+        map_path = tmp_path / "one.map"
+        scen_path = tmp_path / "one.scen"
+        paths_path = tmp_path / "paths.txt"
+        map_path.write_text(serialize_movingai_map(grid))
+        scen_path.write_text(write_scenario(inst, "one.map"))
+        paths_path.write_text("7: 4,4,0\n")
+        result = run_from_checkout(
+            "-m", "mapfkit", "validate", "--map", str(map_path), "--scen", str(scen_path),
+            "--paths", str(paths_path),
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "agent 7: not in the instance" in result.stderr.splitlines()
+
+    def test_validate_rejects_short_state(self, tmp_path, instance_files, capsys):
+        map_path, scen_path = instance_files
+        bad = tmp_path / "short.txt"
+        bad.write_text("0: 1,2\n")
+        code = main(
+            ["validate", "--map", str(map_path), "--scen", str(scen_path), "--paths", str(bad)]
+        )
+        assert code == 1
+        assert "agent 0: each state must be x,y,t" in capsys.readouterr().err
+
+    def test_bad_data_rate_rejected_before_solving(self, instance_files, capsys):
+        map_path, scen_path = instance_files
+        assert main(
+            ["solve-variant", "--map", str(map_path), "--scen", str(scen_path), "--data-rate", "0"]
+        ) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "data rate must be positive" in err
+        assert main(["bench", "--agents", "2", "--instances", "1", "--data-rate", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "data rate must be positive" in err
+
     def test_bench_writes_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "r.csv"
         plot_path = tmp_path / "r.dat"

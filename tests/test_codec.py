@@ -208,6 +208,16 @@ class TestPackedWire:
             out = unpack_segment(pack_segment(enc, n_agents, map_side), n_agents, map_side)
             assert (out.agent, out.start, out.start_time, out.moves) == (agent, (x, y), t, moves)
 
+    def test_partition_is_not_on_the_wire(self):
+        # the partition id is no part of the transmitted segment, so decoding
+        # must not depend on whether the segment went through the bitstream
+        seg = SubpathSegment(5, 3, EXAMPLE_STATES)
+        enc = encode_segment(seg)
+        direct = decode_segment(enc)
+        wired = decode_segment(unpack_segment(pack_segment(enc, 64, 12), 64, 12))
+        assert direct == wired
+        assert direct.states == EXAMPLE_STATES and direct.partition == -1
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             pack_segment(EncodedSegment(64, (0, 0), 0, ""), 64, 100)

@@ -53,10 +53,7 @@ class TestIntersectionGraphBits:
 
     def test_four_agents_two_conflicts(self):
         # two conflicts, each reported once: 2 * ceil(log2 4) bits per pair
-        assert intersection_graph_bits({0: 1, 2: 1}, 4) == 2 * 2 * 2
-
-    def test_accepts_mapping_or_iterable(self):
-        assert intersection_graph_bits({1: 3}, 8) == intersection_graph_bits([3], 8)
+        assert intersection_graph_bits([1, 1], 4) == 2 * 2 * 2
 
 
 class TestReservationTableBits:
@@ -87,11 +84,10 @@ class TestCommTime:
         assert t1 == 2 * t2
 
     def test_source_goal_toggle(self):
+        # the source/goal broadcast always counts toward the total
         ledger = CommLedger([IterationComm(128, 1000, 24)], rt_bits=500)
-        assert ledger.total_bits(include_source_goal=True) == 128 + 1000 + 24 + 500
-        assert ledger.total_bits(include_source_goal=False) == 1000 + 24 + 500
-        rate = CommConfig(1.0)
-        assert comm_time(ledger, rate) - comm_time(ledger, rate, include_source_goal=False) == 128.0
+        assert ledger.total_bits() == 128 + 1000 + 24 + 500
+        assert comm_time(ledger, CommConfig(1.0)) == 128 + 1000 + 24 + 500
 
     def test_additivity_under_reordering(self):
         entries = [IterationComm(10, 20, 30), IterationComm(1, 2, 3), IterationComm(7, 0, 5)]

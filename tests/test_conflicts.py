@@ -214,6 +214,28 @@ class TestValidateSolution:
         endpoints = {0: ((0, 0), (1, 0)), 1: ((4, 4), (3, 4))}
         assert validate_solution({0: p0}, grid, endpoints) == ["agent 1: no path"]
 
+    def test_unknown_agent_reported(self):
+        # a path for an agent the endpoints do not list is a violation, not
+        # a lookup error, whichever form the endpoints take; a negative id is
+        # not matched against an agent counted from the end
+        grid = GridMap(5, 5)
+        p7 = straight_path(7, [(4, 4)])
+        assert validate_solution({7: p7}, grid, {0: ((0, 0), (1, 0))}) == [
+            "agent 0: no path",
+            "agent 7: not in the instance",
+        ]
+        assert validate_solution([p7], grid, [((0, 0), (1, 0))]) == [
+            "agent 0: no path",
+            "agent 7: not in the instance",
+        ]
+        p0 = straight_path(0, [(0, 0), (1, 0)])
+        p_neg = straight_path(-1, [(4, 4), (3, 4)])
+        endpoints = [((0, 0), (1, 0)), ((4, 4), (3, 4))]
+        assert validate_solution([p0, p_neg], grid, endpoints) == [
+            "agent 1: no path",
+            "agent -1: not in the instance",
+        ]
+
     def test_late_start(self):
         # agent 1 passes (2, 0) at t=2, where agent 0 stood before it started
         grid = GridMap(5, 5)

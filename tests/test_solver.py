@@ -213,7 +213,7 @@ class TestSolveVariant:
         assert s1.paths == s2.paths
         assert s1.sum_of_costs == s2.sum_of_costs
         assert [r.independent for r in t1.iterations] == [r.independent for r in t2.iterations]
-        assert [r.comm for r in t1.iterations] == [r.comm for r in t2.iterations]
+        assert t1.ledger.iterations == t2.ledger.iterations
         assert t1.ledger.total_bits() == t2.ledger.total_bits()
 
     def test_variant_failure_on_adversarial_corridor(self):
@@ -228,7 +228,7 @@ class TestSolveVariant:
         _, trace = solve_variant(inst)
         assert len(trace.ledger.iterations) == trace.n_iterations
         assert trace.ledger.rt_bits > 0
-        assert all(r.comm.path_bits > 0 for r in trace.iterations)
+        assert all(it.path_bits > 0 for it in trace.ledger.iterations)
 
     def test_round_conflicts_match_library_pipeline(self):
         # the solver's own split -> group -> detect loop must agree, round by
