@@ -28,8 +28,13 @@ from .solver import ProblemInstance, SolveFailure, VariantConfig, solve_hca, sol
 
 @dataclass
 class BenchmarkRecord:
-    """One paired solve. Ratio and time fields are None unless both planners
-    succeeded; ``comm_*`` fields are None only when the variant failed."""
+    """One paired solve. Ratio fields are None unless both planners
+    succeeded; ``comm_*`` fields are None only when the variant failed.
+
+    A cost ratio of two zero-cost plans (every agent starts on its goal, or
+    there are no agents) reads 1.0. A time ratio or ``speedup`` whose
+    denominator is zero reads None; a 0-agent instance runs no variant
+    round, so its ideal variant time is 0 and its ``speedup`` is None."""
 
     instance_id: int
     status: str  # ok | hca_failed | variant_failed | both_failed | generation_failed
@@ -125,13 +130,18 @@ def compare(
     elif variant is None:
         record.status = "variant_failed"
     else:
-        record.sum_of_costs_ratio = variant.sum_of_costs / hca.sum_of_costs
-        record.makespan_ratio = variant.makespan / hca.makespan
-        record.time_ratio_measured = record.variant_wall_seconds / record.hca_seconds
-        record.time_ratio_ideal = record.variant_ideal_seconds / record.hca_seconds
-        record.speedup = speedup(
-            record.hca_seconds, record.variant_ideal_seconds, record.comm_seconds
-        )
+        # A zero baseline cost means every agent starts on its goal, and so
+        # the variant's cost is 0 too: 0/0 reads 1.0.
+        soc, span = hca.sum_of_costs, hca.makespan
+        record.sum_of_costs_ratio = variant.sum_of_costs / soc if soc else 1.0
+        record.makespan_ratio = variant.makespan / span if span else 1.0
+        if record.hca_seconds > 0:
+            record.time_ratio_measured = record.variant_wall_seconds / record.hca_seconds
+            record.time_ratio_ideal = record.variant_ideal_seconds / record.hca_seconds
+            if record.variant_ideal_seconds > 0:
+                record.speedup = speedup(
+                    record.hca_seconds, record.variant_ideal_seconds, record.comm_seconds
+                )
     return record
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import sys
+import time
 from dataclasses import dataclass
 
 from .grid import Coord, GridMap
@@ -81,6 +82,7 @@ class PathConflictError(ValueError):
 
 
 NO_STAY = sys.maxsize  # ``goal_stays`` entry of a cell nobody parks on
+DEADLINE_CHECK_POPS = 1024  # heap pops between reads of a search's deadline
 
 
 class ReservationTable:
@@ -298,6 +300,7 @@ def space_time_astar(
     horizon: int | None = None,
     heuristic: ReverseResumableAStar | None = None,
     agent: int = 0,
+    deadline: float | None = None,
 ) -> TimedPath | None:
     """Minimum-arrival-time path from ``(start, start_t)`` to ``goal``
     honoring the reservation table, or None if no such path exists within
@@ -312,6 +315,22 @@ def space_time_astar(
     The default horizon, last reservation time plus the map area, is enough
     for any optimal path: waiting out all reserved activity and then making
     a simple detour never needs more steps than there are cells.
+
+    Static tail: after ``rt.last_time`` no vertex or edge reservation is
+    left, only goal stays, and those last forever. There a cell reached at
+    time t beats the same cell reached later, and a wait never helps: the
+    goal is clear by ``rt.last_time + 1`` at the latest. So no wait into the
+    tail is pushed, and a tail state is generated only if its cell was not
+    generated in the tail at the same or an earlier time. A pruned state
+    lies on no optimal path, and neither does any state it leads to, so the
+    returned path is the one the full search returns. An unreachable goal
+    then costs each cell at most once in the tail instead of once per step
+    up to the horizon.
+
+    ``deadline`` is an absolute ``time.perf_counter()`` reading. The clock
+    is read every ``DEADLINE_CHECK_POPS`` pops, and ``TimeoutError`` is
+    raised once it has passed; a search that pops fewer states never reads
+    it.
     """
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
@@ -363,7 +382,18 @@ def space_time_astar(
     heappush, heappop = heapq.heappush, heapq.heappop
     parent: dict[int, int] = {start_t * area + start_id: -1}
     heap = [h_start * h_step + start_id]
+    last = rt.last_time
+    # First time each cell was generated in the static tail, built on the
+    # first expansion into the tail: most searches against a busy table
+    # never get there.
+    tail_first: list[int] | None = None
+    countdown = DEADLINE_CHECK_POPS
     while heap:
+        countdown -= 1
+        if not countdown:
+            if deadline is not None and time.perf_counter() > deadline:
+                raise TimeoutError(f"search for agent {agent} passed its deadline")
+            countdown = DEADLINE_CHECK_POPS
         key = heappop(heap)
         c = key % area
         g = -(key // area) % span
@@ -381,23 +411,42 @@ def space_time_astar(
             continue
         nt = t + 1
         base = nt * area
-        ws = base + c
-        if ws not in parent and ws not in vertices and stays[c] > nt:
-            parent[ws] = c
-            heappush(heap, key + g_step)
-        edge_base = (base - area + c) * area
         g_part = (g + 1) * g_step
-        for nb in table[c]:
-            ns = base + nb
-            if ns in parent or ns in vertices or stays[nb] <= nt or edge_base + nb in edges:
-                continue
-            hd = dist[nb]
-            if hd < 0:
-                hd = settle(nb)
-                if hd is None:
+        if nt <= last:
+            ws = base + c
+            if ws not in parent and ws not in vertices and stays[c] > nt:
+                parent[ws] = c
+                heappush(heap, key + g_step)
+            edge_base = (base - area + c) * area
+            for nb in table[c]:
+                ns = base + nb
+                if ns in parent or ns in vertices or stays[nb] <= nt or edge_base + nb in edges:
                     continue
-            parent[ns] = c
-            heappush(heap, hd * h_step + g_part + nb)
+                hd = dist[nb]
+                if hd < 0:
+                    hd = settle(nb)
+                    if hd is None:
+                        continue
+                parent[ns] = c
+                heappush(heap, hd * h_step + g_part + nb)
+        else:
+            # Static tail: no waits, no vertex or edge reservations, and a
+            # cell is generated only earlier than it ever was before.
+            if tail_first is None:
+                tail_first = [horizon + 1] * area
+                if start_t > last:
+                    tail_first[start_id] = start_t
+            for nb in table[c]:
+                if tail_first[nb] <= nt or stays[nb] <= nt:
+                    continue
+                hd = dist[nb]
+                if hd < 0:
+                    hd = settle(nb)
+                    if hd is None:
+                        continue
+                tail_first[nb] = nt
+                parent[base + nb] = c
+                heappush(heap, hd * h_step + g_part + nb)
     return None
 
 

@@ -176,7 +176,9 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Soluti
     against the reservations of its predecessors.
 
     Incomplete by nature: raises SolveFailure naming the first agent whose
-    search comes back empty, or SolveTimeout past the budget.
+    search comes back empty, or SolveTimeout naming the agent being planned
+    once ``timeout`` seconds have passed. The budget is checked between
+    agents and inside each search, so one long search cannot overrun it.
     """
     grid = instance.grid
     order = [int(a) for a in order]
@@ -190,9 +192,13 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Soluti
         if time.perf_counter() > deadline:
             raise SolveTimeout(f"timed out after {timeout} s", agent=agent)
         src, dst = instance.agents[agent]
-        path = space_time_astar(
-            grid, src, dst, rt, 0, horizon=rt.last_time + area, agent=agent
-        )
+        try:
+            path = space_time_astar(
+                grid, src, dst, rt, 0,
+                horizon=rt.last_time + area, agent=agent, deadline=deadline,
+            )
+        except TimeoutError:
+            raise SolveTimeout(f"timed out after {timeout} s", agent=agent) from None
         if path is None:
             raise SolveFailure(f"no feasible path for agent {agent}", agent=agent)
         rt.insert_path(path)
@@ -213,7 +219,10 @@ def solve_variant(
     graph is assembled, an independent set of it is fixed into the
     reservation table, and the remaining agents replan. At least one agent
     is fixed per round, so at most ``n_agents`` rounds run. The first failed
-    search raises SolveFailure naming its agent.
+    search raises SolveFailure naming its agent. Once ``timeout`` seconds
+    have passed, SolveTimeout names the agent whose search was cut, or the
+    first pending agent when the budget runs out between searches; the
+    budget is also checked inside each search.
 
     The searches and partition checks of a round are independent, so the
     round's ideal parallel latency is built from their times. They run one
@@ -240,17 +249,20 @@ def solve_variant(
     wall0 = time.perf_counter()
     while pending:
         if time.perf_counter() > deadline:
-            raise SolveTimeout(f"timed out after {timeout} s")
+            raise SolveTimeout(f"timed out after {timeout} s", agent=pending[0])
         horizon = rt.last_time + area
         search_seconds: dict[int, float] = {}
         candidates: dict[int, TimedPath] = {}
         for agent in pending:
             src, dst = instance.agents[agent]
             t0 = time.perf_counter()
-            path = space_time_astar(
-                grid, src, dst, rt, 0,
-                horizon=horizon, heuristic=heuristics[agent], agent=agent,
-            )
+            try:
+                path = space_time_astar(
+                    grid, src, dst, rt, 0, horizon=horizon,
+                    heuristic=heuristics[agent], agent=agent, deadline=deadline,
+                )
+            except TimeoutError:
+                raise SolveTimeout(f"timed out after {timeout} s", agent=agent) from None
             search_seconds[agent] = time.perf_counter() - t0
             if path is None:
                 raise SolveFailure(f"no feasible path for agent {agent}", agent=agent)

@@ -69,6 +69,25 @@ class TestCompare:
         assert record.hca_sum_of_costs > 0
         assert record.comm_bits > 0 and record.comm_seconds > 0
 
+    def test_zero_cost_baseline(self):
+        # every agent starts on its goal: both plans cost 0
+        inst = ProblemInstance(GridMap(4, 4), (((1, 1), (1, 1)),))
+        record = compare(inst, [0])
+        assert record.ok
+        assert record.hca_sum_of_costs == record.variant_sum_of_costs == 0
+        assert record.sum_of_costs_ratio == 1.0 and record.makespan_ratio == 1.0
+        assert record.speedup is not None and record.speedup > 0
+
+    def test_no_agents(self):
+        # no variant round runs, so the ideal time, and with it the
+        # speedup's denominator, is 0
+        record = compare(ProblemInstance(GridMap(4, 4), ()), [])
+        assert record.ok
+        assert record.sum_of_costs_ratio == 1.0 and record.makespan_ratio == 1.0
+        assert record.variant_ideal_seconds == 0.0
+        assert record.speedup is None
+        assert parse_csv(emit_csv([record])) == [record]
+
     def test_failure_status(self):
         grid = GridMap(5, 1)
         inst = ProblemInstance(grid, (((0, 0), (4, 0)), ((4, 0), (0, 0))))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,22 @@ class TestSpaceTimeAstar:
         assert space_time_astar(grid, (0, 0), (21, 20), rt, heuristic=h) is None
         assert h.expanded == 0
 
+    def test_past_deadline_cuts_a_long_search(self):
+        # agent 1 crosses the map; the goal is a cell it passes late, so the
+        # search floods every state that can wait out the crossing, far more
+        # than one check interval of pops
+        grid = GridMap(30, 30)
+        rt = ReservationTable(grid)
+        route = space_time_astar(grid, (0, 0), (29, 29), rt, agent=1)
+        rt.insert_path(route)
+        x, y, _ = route.states[3 * len(route.states) // 4]
+        start = grid.neighbors4((x, y))[0]
+        with pytest.raises(TimeoutError):
+            space_time_astar(grid, start, (x, y), rt, deadline=time.perf_counter() - 1.0)
+        path = space_time_astar(grid, start, (x, y), rt)
+        assert path is not None
+        assert space_time_astar(grid, start, (x, y), rt, deadline=time.perf_counter() + 60) == path
+
     def test_reservation_queries_match_fixed_path_oracle(self):
         # insert two crossing candidate paths, then probe every state and
         # move in a window against occupancy derived straight from the paths
@@ -333,3 +351,57 @@ class TestSpaceTimeAstar:
             else:
                 assert path is not None and path.arrival_time == expected
             checked += 1
+
+    def test_tail_matches_time_expanded_oracle(self):
+        # 3-6 fixed paths; searches that start before and after the last
+        # reservation; every third goal has each free neighbour parked on,
+        # so it is sealed off from some time on
+        rng = np.random.default_rng(2011)
+        starts = {"early": 0, "late": 0}
+        sealed = found = 0
+        for case in range(60):
+            grid = generate_random_map(
+                7, 7, float(rng.uniform(0, 0.3)), seed=int(rng.integers(1 << 30))
+            )
+            free = grid.free_cells()
+            if len(free) < 12:
+                continue
+            rt = ReservationTable(grid)
+            fixed = []
+            want = int(rng.integers(3, 7))
+            for _ in range(100):
+                p = random_timed_path(rng, grid, 10 + len(fixed), max_len=10)
+                if rt.path_conflict(p) is None:
+                    rt.insert_path(p)
+                    fixed.append(p)
+                    if len(fixed) == want:
+                        break
+            g = free[int(rng.integers(len(free)))]
+            if case % 3 == 0:
+                for x, y in grid.neighbors4(g):
+                    clear = rt.goal_clear_time((x, y))
+                    if clear is not None:
+                        p = TimedPath(10 + len(fixed), ((x, y, clear),))
+                        rt.insert_path(p)
+                        fixed.append(p)
+            assert len(fixed) >= 3
+            late = case % 2 == 1
+            if late:
+                start_t = rt.last_time + int(rng.integers(1, 4))
+            else:
+                start_t = int(rng.integers(rt.last_time + 1))
+            open_starts = [c for c in free if rt.is_vertex_free(c, start_t)]
+            s = open_starts[int(rng.integers(len(open_starts)))]
+            horizon = max(start_t, rt.last_time) + grid.width * grid.height
+            expected = time_expanded_shortest(grid, s, g, fixed, start_t, horizon)
+            path = space_time_astar(grid, s, g, rt, start_t)
+            if expected is None:
+                assert path is None, (case, s, g, start_t)
+                sealed += case % 3 == 0
+            else:
+                assert path is not None and path.arrival_time == expected, (case, s, g, start_t)
+                assert path.states[0] == (*s, start_t)
+                assert rt.path_conflict(path) is None
+                found += 1
+            starts["late" if late else "early"] += 1
+        assert min(starts.values()) >= 20 and sealed >= 3 and found >= 20

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from mapfkit import (
     partition_conflict_reports,
     solve_hca,
     solve_variant,
+    space_time_astar,
     validate_solution,
 )
 
@@ -33,6 +36,25 @@ def crossing_pairs_instance():
         ((6, 4), (11, 4)),  # horizontal line y=4, meets agent 2 at t=3
     )
     return ProblemInstance(grid, agents)
+
+
+def walled_gap_instance(width):
+    """A wall column splits a ``width`` x ``width`` map. Agent 0 starts and
+    parks in its one gap, so agent 1 cannot cross from the far corner."""
+    mid = width // 2
+    grid = GridMap(width, width, frozenset((mid, y) for y in range(width) if y != mid))
+    return ProblemInstance(grid, (((mid, mid), (mid, mid)), ((0, 0), (width - 1, width - 1))))
+
+
+def goal_clear_flood_instance():
+    """Agent 0 crosses an open 100x100 map corner to corner. Agent 1 starts
+    next to the cell agent 0 occupies three quarters of the way along, and
+    has that cell as its goal, so it may park there only after agent 0 has
+    passed: a long search that static-tail dominance does not shorten."""
+    grid = GridMap(100, 100)
+    route = space_time_astar(grid, (0, 0), (99, 99))
+    x, y, _ = route.states[3 * len(route.states) // 4]
+    return ProblemInstance(grid, (((0, 0), (99, 99)), (grid.neighbors4((x, y))[0], (x, y))))
 
 
 class TestProblemInstance:
@@ -264,3 +286,32 @@ class TestSolveVariant:
             solve_variant(inst)
         assert exc.value.agent == 1
         assert searched == [0, 1, 2, 3, 1]  # agent 3 is not searched again
+
+
+class TestBoundedSearch:
+    def test_walled_gap_fails_fast(self):
+        inst = walled_gap_instance(50)
+        for solve in (lambda: solve_hca(inst, [0, 1]), lambda: solve_variant(inst)):
+            t0 = time.perf_counter()
+            with pytest.raises(SolveFailure) as exc:
+                solve()
+            assert time.perf_counter() - t0 < 0.5
+            assert type(exc.value) is SolveFailure and exc.value.agent == 1
+
+    def test_timeout_cuts_a_long_search(self):
+        inst = goal_clear_flood_instance()
+        for solve in (
+            lambda: solve_hca(inst, [0, 1], timeout=0.1),
+            lambda: solve_variant(inst, timeout=0.1),
+        ):
+            t0 = time.perf_counter()
+            with pytest.raises(SolveTimeout) as exc:
+                solve()
+            assert time.perf_counter() - t0 < 0.5
+            assert exc.value.agent == 1
+
+    def test_variant_timeout_between_rounds_names_first_pending(self):
+        inst = crossing_pairs_instance()
+        with pytest.raises(SolveTimeout) as exc:
+            solve_variant(inst, timeout=-1.0)
+        assert exc.value.agent == 0
