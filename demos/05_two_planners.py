@@ -35,7 +35,7 @@ solution, trace = solve_variant(instance)
 print(f"\nvariant: sum_of_costs={solution.sum_of_costs} makespan={solution.makespan}")
 for i, rec in enumerate(trace.iterations, start=1):
     print(
-        f"  round {i}: pending={len(rec.pending)} collisions={rec.ig.n_edges} "
+        f"  round {i}: pending={len(rec.ig.nodes)} collisions={rec.ig.n_edges} "
         f"fixed={list(rec.independent)}"
     )
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from .comm import DEFAULT_DATA_RATE, CommConfig, comm_time, speedup
 from .grid import generate_random_map, parse_movingai_map
-from .indset import EXACT_THRESHOLD_DEFAULT
 from .instances import GenerationError, generate_instance
-from .solver import ProblemInstance, SolveFailure, VariantConfig, solve_hca, solve_variant
+from .solver import ProblemInstance, SolveFailure, solve_hca, solve_variant
 
 
 @dataclass
@@ -91,7 +90,6 @@ PLOT_SERIES = ("sum_of_costs_ratio", "makespan_ratio", "time_ratio_measured")
 def compare(
     instance: ProblemInstance,
     order,
-    cfg: VariantConfig | None = None,
     timeout: float = 60.0,
     instance_id: int = 0,
     comm: CommConfig | None = None,
@@ -108,7 +106,7 @@ def compare(
         hca = None
     record.hca_seconds = time.perf_counter() - t0
     try:
-        variant, trace = solve_variant(instance, cfg, timeout)
+        variant, trace = solve_variant(instance, timeout)
     except SolveFailure:
         variant, trace = None, None
 
@@ -158,7 +156,6 @@ class BenchConfig:
     p_obstacle: float = 0.1
     map_file: str | None = None
     data_rate: float = DEFAULT_DATA_RATE
-    exact_threshold: int = EXACT_THRESHOLD_DEFAULT
     timeout: float = 60.0
 
 
@@ -200,7 +197,6 @@ def run_benchmark(cfg: BenchConfig) -> tuple[list[BenchmarkRecord], SummaryStats
     master = np.random.SeedSequence(cfg.seed)
     children = master.spawn(cfg.n_instances)
     rate = CommConfig(cfg.data_rate)  # rejects a bad rate before any solve
-    vcfg = VariantConfig(exact_threshold=cfg.exact_threshold)
     base_grid = (
         parse_movingai_map(Path(cfg.map_file).read_text()) if cfg.map_file else None
     )
@@ -220,7 +216,7 @@ def run_benchmark(cfg: BenchConfig) -> tuple[list[BenchmarkRecord], SummaryStats
             )
             continue
         order = [int(a) for a in np.random.default_rng(order_ss).permutation(cfg.n_agents)]
-        records.append(compare(instance, order, vcfg, cfg.timeout, instance_id=i, comm=rate))
+        records.append(compare(instance, order, cfg.timeout, instance_id=i, comm=rate))
     return records, summarize(records)
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: ``gen-instance``, ``solve-hca``, ``solve-variant``, ``bench``,
 ``validate``. Exit codes: 0 success, 1 configuration error, 2 solver failure
-(or, for ``bench``, zero successful pairs; for ``validate``, violations).
+(or, for ``bench``, zero successful pairs; for ``validate``, an invalid
+instance or violations).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .bench import BenchConfig, emit_csv, emit_plot_data, run_benchmark
 from .comm import DEFAULT_DATA_RATE, CommConfig, comm_time
 from .conflicts import validate_solution
 from .grid import GridMap, MapFormatError, generate_random_map, parse_movingai_map, serialize_movingai_map
-from .indset import EXACT_THRESHOLD_DEFAULT
 from .instances import (
     GenerationError,
     ScenarioFormatError,
@@ -31,7 +31,6 @@ from .solver import (
     InvalidInstanceError,
     ProblemInstance,
     SolveFailure,
-    VariantConfig,
     solve_hca,
     solve_variant,
 )
@@ -68,13 +67,15 @@ def write_paths(paths: dict[int, TimedPath]) -> str:
 
 
 def read_paths(text: str) -> dict[int, TimedPath]:
-    """Inverse of ``write_paths``."""
+    """Inverse of ``write_paths``; an agent id listed twice is an error."""
     paths: dict[int, TimedPath] = {}
     for ln in text.splitlines():
         if not ln.strip():
             continue
         head, _, rest = ln.partition(":")
         agent = int(head)
+        if agent in paths:
+            raise ValueError(f"agent {agent}: listed twice")
         states = tuple(
             tuple(int(v) for v in token.split(",")) for token in rest.split()
         )
@@ -125,9 +126,8 @@ def _cmd_solve_hca(args) -> int:
 def _cmd_solve_variant(args) -> int:
     _, instance = _load_instance(args.map, args.scen)
     rate = CommConfig(args.data_rate)  # rejects a bad rate before solving
-    cfg = VariantConfig(exact_threshold=args.exact_threshold)
     try:
-        solution, trace = solve_variant(instance, cfg, args.timeout)
+        solution, trace = solve_variant(instance, args.timeout)
     except SolveFailure as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -151,7 +151,6 @@ def _cmd_bench(args) -> int:
         p_obstacle=args.p_obstacle,
         map_file=args.map,
         data_rate=args.data_rate,
-        exact_threshold=args.exact_threshold,
         timeout=args.timeout,
     )
     records, summary = run_benchmark(cfg)
@@ -172,9 +171,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    grid, instance = _load_instance(args.map, args.scen)
     try:
-        instance.validate(check_reachability=not args.no_reachability)
+        grid, instance = _load_instance(args.map, args.scen)
+        instance.validate()
     except InvalidInstanceError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-variant", help="iterated independent-set planner")
     p.add_argument("--map", required=True)
     p.add_argument("--scen", required=True)
-    p.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT)
     p.add_argument("--data-rate", type=float, default=DEFAULT_DATA_RATE)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--paths-out", help="dump the solution paths here")
@@ -234,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-rate", type=float, default=DEFAULT_DATA_RATE)
-    p.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--csv", help="write per-instance records here")
     p.add_argument("--plot-data", help="write plot series here")
@@ -244,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--scen", required=True)
     p.add_argument("--paths", help="solution paths file from --paths-out")
-    p.add_argument("--no-reachability", action="store_true")
     p.set_defaults(func=_cmd_validate)
     return parser
 

@@ -37,6 +37,12 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def header_widths(n_agents: int, map_side: int) -> tuple[int, int, int]:
+    """Bit widths of a segment header's fields in wire order: agent id, x, y."""
+    coord_w = ceil_log2(map_side)
+    return ceil_log2(n_agents), coord_w, coord_w
+
+
 @dataclass(frozen=True)
 class EncodedSegment:
     """Wire form of one segment: header fields plus the move-symbol string."""
@@ -131,7 +137,7 @@ def segment_bits(seg, n_agents: int, map_side: int) -> int:
     the absolute start time, which also covers gapped or late-starting
     segments.
     """
-    header = ceil_log2(n_agents) + 2 * ceil_log2(map_side)
+    header = sum(header_widths(n_agents, map_side))
     return header + BITS_PER_SYMBOL * seg.start_time + BITS_PER_SYMBOL * (seg.length + 1)
 
 
@@ -144,8 +150,6 @@ def pack_segment(enc: EncodedSegment, n_agents: int, map_side: int) -> bytes:
     """Pack to the canonical bitstream: big-endian fixed-width header, then
     3-bit symbols, zero-padded to a byte boundary. Before padding the length
     in bits equals ``segment_bits`` exactly."""
-    agent_w = ceil_log2(n_agents)
-    coord_w = ceil_log2(map_side)
     x, y = enc.start
     if not 0 <= enc.agent < n_agents:
         raise ValueError(f"agent id {enc.agent} out of range for {n_agents} agents")
@@ -153,7 +157,7 @@ def pack_segment(enc: EncodedSegment, n_agents: int, map_side: int) -> bytes:
         raise ValueError(f"start {enc.start} out of range for map side {map_side}")
     acc = 0
     nbits = 0
-    for value, width in ((enc.agent, agent_w), (x, coord_w), (y, coord_w)):
+    for value, width in zip((enc.agent, x, y), header_widths(n_agents, map_side)):
         acc = (acc << width) | value
         nbits += width
     for sym in enc.symbols():
@@ -167,8 +171,6 @@ def pack_segment(enc: EncodedSegment, n_agents: int, map_side: int) -> bytes:
 
 def unpack_segment(data: bytes, n_agents: int, map_side: int) -> EncodedSegment:
     """Inverse of ``pack_segment``; raises CodecError on truncated streams."""
-    agent_w = ceil_log2(n_agents)
-    coord_w = ceil_log2(map_side)
     bits = int.from_bytes(data, "big")
     total = len(data) * 8
     pos = 0
@@ -180,9 +182,7 @@ def unpack_segment(data: bytes, n_agents: int, map_side: int) -> EncodedSegment:
         pos += width
         return (bits >> (total - pos)) & ((1 << width) - 1)
 
-    agent = take(agent_w)
-    x = take(coord_w)
-    y = take(coord_w)
+    agent, x, y = [take(width) for width in header_widths(n_agents, map_side)]
     start_time = 0
     moves: list[str] = []
     while True:

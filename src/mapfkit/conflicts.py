@@ -41,20 +41,12 @@ class SubpathSegment:
             raise ValueError("a segment needs at least one state")
 
     @property
-    def start_cell(self) -> Coord:
-        return self.states[0][:2]
-
-    @property
     def start_time(self) -> int:
         return self.states[0][2]
 
     @property
     def length(self) -> int:
         return len(self.states) - 1
-
-    @property
-    def ends_path(self) -> bool:
-        return self.next_state is None
 
 
 def split_path(path: TimedPath, part: Partitioning, grid: GridMap) -> list[SubpathSegment]:

@@ -12,20 +12,21 @@ from collections.abc import Collection, Mapping, Set
 
 from .conflicts import IntersectionGraph, connected_components
 
-EXACT_THRESHOLD_DEFAULT = 10
+# Largest component solved exactly; larger ones go to the greedy pass.
+EXACT_THRESHOLD = 10
 
-def mis_exact(
-    nodes: Collection[int], adj: Mapping[int, Set[int]], max_nodes: int = EXACT_THRESHOLD_DEFAULT
-) -> set[int]:
+
+def mis_exact(nodes: Collection[int], adj: Mapping[int, Set[int]]) -> set[int]:
     """Maximum independent set of ``nodes`` by branch-and-bound over
     include/exclude decisions; among maximum sets, the lexicographically
     smallest sorted id tuple wins, so results are reproducible.
 
     ``adj`` maps each node to its neighbours, and ``nodes`` must hold every
-    neighbour of its members, as a connected component does.
+    neighbour of its members, as a connected component does. Raises
+    ValueError above ``EXACT_THRESHOLD`` nodes.
     """
-    if len(nodes) > max_nodes:
-        raise ValueError(f"component of size {len(nodes)} exceeds the exact limit {max_nodes}")
+    if len(nodes) > EXACT_THRESHOLD:
+        raise ValueError(f"component of size {len(nodes)} exceeds the exact limit {EXACT_THRESHOLD}")
     best_size = -1
     best: tuple[int, ...] = ()
 
@@ -65,16 +66,14 @@ def mis_greedy(nodes: Collection[int], adj: Mapping[int, Set[int]]) -> set[int]:
     return chosen
 
 
-def independent_set(
-    g: IntersectionGraph, exact_threshold: int = EXACT_THRESHOLD_DEFAULT
-) -> set[int]:
+def independent_set(g: IntersectionGraph) -> set[int]:
     """Union over connected components of the exact solution (components up
-    to ``exact_threshold`` nodes) or the greedy approximation (larger)."""
+    to ``EXACT_THRESHOLD`` nodes) or the greedy approximation (larger)."""
     adj = g.adjacency()
     result: set[int] = set()
     for comp in connected_components(g):
-        if len(comp) <= exact_threshold:
-            result |= mis_exact(comp, adj, exact_threshold)
+        if len(comp) <= EXACT_THRESHOLD:
+            result |= mis_exact(comp, adj)
         else:
             result |= mis_greedy(comp, adj)
     return result

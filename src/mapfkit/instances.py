@@ -31,9 +31,7 @@ class ScenarioFormatError(ValueError):
     """A scenario text does not follow the expected column layout."""
 
 
-def generate_instance(
-    grid: GridMap, n_agents: int, seed=None, max_tries: int | None = None
-) -> ProblemInstance:
+def generate_instance(grid: GridMap, n_agents: int, seed=None) -> ProblemInstance:
     """Draw a solvable ``n_agents`` instance on ``grid``; deterministic for a
     fixed seed.
 
@@ -41,9 +39,8 @@ def generate_instance(
     through ``with_obstacles``, gains each committed agent's source and goal
     as obstacles; ``grid`` itself is never changed.
 
-    ``max_tries`` bounds the redraws per agent (default: 10x the current
-    pool size); exhausting it raises GenerationError carrying how many
-    agents were placed.
+    Each agent gets at most 10x the current pool size in redraws; running
+    out raises GenerationError carrying how many agents were placed.
     """
     if n_agents < 1:
         raise ValueError("n_agents must be positive")
@@ -56,9 +53,8 @@ def generate_instance(
     for agent in order:
         if len(pool) < 2:
             raise GenerationError("free space exhausted", len(sources))
-        budget = max_tries if max_tries is not None else 10 * len(pool)
         found = None
-        for _ in range(budget):
+        for _ in range(10 * len(pool)):
             i = int(rng.integers(len(pool)))
             j = int(rng.integers(len(pool)))
             if i == j:

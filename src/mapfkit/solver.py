@@ -32,7 +32,7 @@ from .conflicts import (
     split_path,
 )
 from .grid import Coord, GridMap, Partitioning
-from .indset import EXACT_THRESHOLD_DEFAULT, independent_set
+from .indset import independent_set
 from .search import (
     ReservationTable,
     ReverseResumableAStar,
@@ -127,18 +127,13 @@ class Solution:
         return cls(dict(paths), sum(costs), max(costs) if costs else 0)
 
 
-@dataclass(frozen=True)
-class VariantConfig:
-    exact_threshold: int = EXACT_THRESHOLD_DEFAULT
-
-
 @dataclass
 class IterationRecord:
     """Everything one solve round produced, enough to re-derive the
     idealized parallel time; the round's bits are the matching entry of
-    ``SolveTrace.ledger.iterations``."""
+    ``SolveTrace.ledger.iterations``. The round's pending agents are
+    ``ig.nodes``."""
 
-    pending: tuple[int, ...]
     candidate_paths: dict[int, TimedPath]
     ig: IntersectionGraph
     partition_pair_counts: dict[int, int]
@@ -186,17 +181,13 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Soluti
         raise ValueError("order must be a permutation of agent ids")
     deadline = time.perf_counter() + timeout
     rt = ReservationTable(grid)
-    area = grid.width * grid.height
     paths: dict[int, TimedPath] = {}
     for agent in order:
         if time.perf_counter() > deadline:
             raise SolveTimeout(f"timed out after {timeout} s", agent=agent)
         src, dst = instance.agents[agent]
         try:
-            path = space_time_astar(
-                grid, src, dst, rt, 0,
-                horizon=rt.last_time + area, agent=agent, deadline=deadline,
-            )
+            path = space_time_astar(grid, src, dst, rt, 0, agent=agent, deadline=deadline)
         except TimeoutError:
             raise SolveTimeout(f"timed out after {timeout} s", agent=agent) from None
         if path is None:
@@ -207,9 +198,7 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Soluti
 
 
 def solve_variant(
-    instance: ProblemInstance,
-    cfg: VariantConfig | None = None,
-    timeout: float = 60.0,
+    instance: ProblemInstance, timeout: float = 60.0
 ) -> tuple[Solution, SolveTrace]:
     """Iterated independent-set planning (no priority order needed).
 
@@ -228,7 +217,6 @@ def solve_variant(
     round's ideal parallel latency is built from their times. They run one
     after another, each timed on its own with nothing contending.
     """
-    cfg = cfg if cfg is not None else VariantConfig()
     grid = instance.grid
     n = instance.n_agents
     map_side = max(grid.width, grid.height)
@@ -239,7 +227,6 @@ def solve_variant(
     part = Partitioning.for_map(grid, n)
     grid.neighbor_table  # build it now, outside the first agent's timed search
     deadline = time.perf_counter() + timeout
-    area = grid.width * grid.height
     rt = ReservationTable(grid)
     heuristics = {
         i: ReverseResumableAStar(grid, instance.agents[i][1]) for i in range(n)
@@ -250,7 +237,6 @@ def solve_variant(
     while pending:
         if time.perf_counter() > deadline:
             raise SolveTimeout(f"timed out after {timeout} s", agent=pending[0])
-        horizon = rt.last_time + area
         search_seconds: dict[int, float] = {}
         candidates: dict[int, TimedPath] = {}
         for agent in pending:
@@ -258,7 +244,7 @@ def solve_variant(
             t0 = time.perf_counter()
             try:
                 path = space_time_astar(
-                    grid, src, dst, rt, 0, horizon=horizon,
+                    grid, src, dst, rt, 0,
                     heuristic=heuristics[agent], agent=agent, deadline=deadline,
                 )
             except TimeoutError:
@@ -287,7 +273,7 @@ def solve_variant(
         for r in reports.values():
             edges |= r.pairs
         ig = IntersectionGraph(tuple(pending), frozenset(edges))
-        chosen = tuple(sorted(independent_set(ig, cfg.exact_threshold)))
+        chosen = tuple(sorted(independent_set(ig)))
         comm_entry = IterationComm(
             source_goal_bits=source_goal_bits(len(pending), map_side),
             path_bits=iteration_path_bits(segments_by_agent.values(), n, map_side),
@@ -300,7 +286,6 @@ def solve_variant(
 
         trace.iterations.append(
             IterationRecord(
-                pending=tuple(pending),
                 candidate_paths=candidates,
                 ig=ig,
                 partition_pair_counts=pair_counts,

@@ -232,8 +232,8 @@ def test_criterion_08_communication_ledger_exact():
     part = Partitioning.for_map(grid, n)
     total = 0
     for rec in trace.iterations:
-        total += 2 * len(rec.pending) * clog2(side)  # source/goal broadcast
-        for agent in rec.pending:  # candidate paths, segment by segment
+        total += 2 * len(rec.ig.nodes) * clog2(side)  # source/goal broadcast
+        for agent in rec.ig.nodes:  # candidate paths, segment by segment
             sts = rec.candidate_paths[agent].states
             ids = [part.locate((x, y)) for x, y, _ in sts]
             k = 0

@@ -241,6 +241,17 @@ class TestCli:
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert main(["bench", "--agents", "2", "--instances", "1", "--workers", "2"]) == 1
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert main(
+            ["solve-variant", "--map", str(map_path), "--scen", str(scen_path),
+             "--exact-threshold", "3"]
+        ) == 1
+        assert "unrecognized arguments: --exact-threshold 3" in capsys.readouterr().err
+        assert main(["bench", "--agents", "2", "--instances", "1", "--exact-threshold", "3"]) == 1
+        assert "unrecognized arguments: --exact-threshold 3" in capsys.readouterr().err
+        assert main(
+            ["validate", "--map", str(map_path), "--scen", str(scen_path), "--no-reachability"]
+        ) == 1
+        assert "unrecognized arguments: --no-reachability" in capsys.readouterr().err
 
     def test_validate_rejects_corrupted_paths(self, tmp_path, instance_files):
         map_path, scen_path = instance_files
@@ -269,6 +280,41 @@ class TestCli:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "agent 7: not in the instance" in result.stderr.splitlines()
+
+    def test_validate_rejects_duplicate_agent(self, tmp_path, instance_files, capsys):
+        # a repeated agent id must not let its last line hide the first
+        map_path, scen_path = instance_files
+        paths_out = tmp_path / "paths.txt"
+        assert main(
+            [
+                "solve-hca", "--map", str(map_path), "--scen", str(scen_path),
+                "--paths-out", str(paths_out),
+            ]
+        ) == 0
+        paths_out.write_text("0: 7,7,0\n" + paths_out.read_text())
+        capsys.readouterr()
+        code = main(
+            ["validate", "--map", str(map_path), "--scen", str(scen_path), "--paths", str(paths_out)]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "" and "agent 0: listed twice" in err
+
+    def test_validate_shared_goal_is_invalid_instance(self, tmp_path, capsys):
+        # every structural fault of the scenario reads the same from
+        # validate, whether the loader or the reachability check finds it
+        grid = GridMap(6, 6)
+        inst = ProblemInstance(grid, (((0, 0), (3, 3)), ((5, 5), (3, 3))))
+        map_path = tmp_path / "s.map"
+        scen_path = tmp_path / "s.scen"
+        map_path.write_text(serialize_movingai_map(grid))
+        scen_path.write_text(write_scenario(inst, "s.map"))
+        code = main(["validate", "--map", str(map_path), "--scen", str(scen_path)])
+        assert code == 2
+        assert "invalid instance: goals must be pairwise distinct" in capsys.readouterr().err
+        code = main(["solve-hca", "--map", str(map_path), "--scen", str(scen_path)])
+        assert code == 1
+        assert "error: goals must be pairwise distinct" in capsys.readouterr().err
 
     def test_validate_rejects_short_state(self, tmp_path, instance_files, capsys):
         map_path, scen_path = instance_files

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mapfkit import IntersectionGraph, independent_set, mis_exact, mis_greedy
+from mapfkit import EXACT_THRESHOLD, IntersectionGraph, independent_set, mis_exact, mis_greedy
 
 from oracles import max_independent_set_size
 
@@ -44,10 +44,10 @@ class TestExact:
         assert mis_exact(*g) == {0, 2}
 
     def test_too_large_rejected(self):
-        nodes = list(range(11))
+        nodes = list(range(EXACT_THRESHOLD + 1))
         g = component(nodes, set())
         with pytest.raises(ValueError):
-            mis_exact(*g, max_nodes=10)
+            mis_exact(*g)
 
     def test_lexicographic_among_maximum(self):
         # two maximum sets {0, 3} and {1, 2}: the smaller tuple wins
@@ -107,7 +107,7 @@ class TestIndependentSet:
         rng = np.random.default_rng(31)
         nodes, edges = random_graph(rng, 25, p=0.3)
         g = IntersectionGraph(nodes, frozenset(edges))
-        chosen = independent_set(g, exact_threshold=10)
+        chosen = independent_set(g)
         assert chosen
         assert is_independent(nodes, edges, chosen)
         assert is_maximal(nodes, edges, chosen)

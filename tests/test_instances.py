@@ -68,7 +68,7 @@ class TestGenerateInstance:
         grid = GridMap(2, 2, frozenset({(0, 0), (1, 1)}))
         # only two free cells, disconnected: no path between them
         with pytest.raises(GenerationError):
-            generate_instance(grid, 1, seed=0, max_tries=50)
+            generate_instance(grid, 1, seed=0)
 
     def test_too_little_free_space(self):
         grid = GridMap(2, 1, frozenset({(1, 0)}))

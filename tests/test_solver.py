@@ -196,7 +196,7 @@ class TestSolveVariant:
         first = trace.iterations[0]
         assert first.ig.edges == {(0, 1), (2, 3)}
         assert first.independent == (0, 2)  # deterministic tie-break
-        assert set(trace.iterations[1].pending) == {1, 3}
+        assert set(trace.iterations[1].ig.nodes) == {1, 3}
         assert validate_solution(solution.paths, inst.grid, dict(enumerate(inst.agents))) == []
 
     def test_first_iteration_candidates_equal_plain_astar(self):
@@ -215,7 +215,7 @@ class TestSolveVariant:
             fixed_union.extend(rec.independent)
         assert sorted(fixed_union) == list(range(8))
         assert trace.n_iterations <= 8
-        sizes = [len(r.pending) for r in trace.iterations]
+        sizes = [len(r.ig.nodes) for r in trace.iterations]
         assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) == len(sizes)
 
     def test_soundness_property_run(self):
