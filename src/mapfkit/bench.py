@@ -240,11 +240,15 @@ def emit_csv(records) -> str:
 
 def parse_csv(text: str) -> list[BenchmarkRecord]:
     """Inverse of ``emit_csv``."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != CSV_COLUMNS:
+    reader = csv.reader(io.StringIO(text))
+    if tuple(next(reader, ())) != CSV_COLUMNS:
         raise ValueError("unrecognized benchmark CSV header")
     records = []
-    for row in rows[1:]:
+    for row in reader:
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(
+                f"line {reader.line_num}: {len(row)} fields, expected {len(CSV_COLUMNS)}"
+            )
         kwargs = {}
         for name, cell in zip(CSV_COLUMNS, row):
             if cell == "":

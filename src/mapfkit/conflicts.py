@@ -238,12 +238,18 @@ def validate_solution(
 ) -> list[str]:
     """Check each path and every pair under full collision semantics,
     including indefinite goal stays up to the global makespan. Every path
-    must start at t=0, and with ``endpoints`` every listed agent must have a
-    path and every path must belong to a listed agent. Returns the violations
-    found; an empty list means the solution is valid.
+    must start at t=0, a mapping must key each path by its own agent, and
+    with ``endpoints`` every listed agent must have a path and every path
+    must belong to a listed agent. Returns the violations found; an empty
+    list means the solution is valid.
     """
-    items = list(paths.values()) if isinstance(paths, Mapping) else list(paths)
-    violations: list[str] = []
+    if isinstance(paths, Mapping):
+        items = list(paths.values())
+        violations = [
+            f"agent {k}: path belongs to agent {p.agent}" for k, p in paths.items() if k != p.agent
+        ]
+    else:
+        items, violations = list(paths), []
     if endpoints is not None:
         have = {path.agent for path in items}
         listed = endpoints.keys() if isinstance(endpoints, Mapping) else range(len(endpoints))

@@ -296,25 +296,19 @@ def space_time_astar(
     start: Coord,
     goal: Coord,
     rt: ReservationTable | None = None,
-    start_t: int = 0,
-    horizon: int | None = None,
+    *,
     heuristic: ReverseResumableAStar | None = None,
     agent: int = 0,
     deadline: float | None = None,
 ) -> TimedPath | None:
-    """Minimum-arrival-time path from ``(start, start_t)`` to ``goal``
-    honoring the reservation table, or None if no such path exists within
-    ``horizon``.
+    """Minimum-arrival-time path from ``(start, 0)`` to ``goal`` honoring
+    the reservation table, or None if no such path exists.
 
     Arrival at the goal is accepted only when parking there forever is safe:
     no reservation touches the goal cell at or after the arrival time, so a
     goal under a reserved stay fails at once. Ties are broken on (f, larger
-    g, t, y, x), and a state's parent is fixed when the state is first
+    t, y, x), and a state's parent is fixed when the state is first
     generated, so results are reproducible.
-
-    The default horizon, last reservation time plus the map area, is enough
-    for any optimal path: waiting out all reserved activity and then making
-    a simple detour never needs more steps than there are cells.
 
     Static tail: after ``rt.last_time`` no vertex or edge reservation is
     left, only goal stays, and those last forever. There a cell reached at
@@ -324,8 +318,9 @@ def space_time_astar(
     generated in the tail at the same or an earlier time. A pruned state
     lies on no optimal path, and neither does any state it leads to, so the
     returned path is the one the full search returns. An unreachable goal
-    then costs each cell at most once in the tail instead of once per step
-    up to the horizon.
+    then costs each cell at most once in the tail, and the search ends with
+    no horizon: a chain of parent links in the tail never visits a cell
+    twice, so every state has ``t <= rt.last_time + area``.
 
     ``deadline`` is an absolute ``time.perf_counter()`` reading. The clock
     is read every ``DEADLINE_CHECK_POPS`` pops, and ``TimeoutError`` is
@@ -341,8 +336,8 @@ def space_time_astar(
         rt = ReservationTable(grid)
     elif (rt.width, rt.height) != size:
         raise ValueError(f"reservation table was built for a {rt.width}x{rt.height} map")
-    elif not rt.is_vertex_free(start, start_t):
-        raise ValueError(f"start {start} is reserved at t={start_t}")
+    elif not rt.is_vertex_free(start, 0):
+        raise ValueError(f"start {start} is reserved at t=0")
     if heuristic is not None:
         if heuristic.goal != goal:
             raise ValueError(f"heuristic was built for goal {heuristic.goal}, not {goal}")
@@ -362,16 +357,15 @@ def space_time_astar(
     h_start = h._distance(start_id)
     if h_start is None:
         return None
-    if horizon is None:
-        horizon = max(start_t, rt.last_time) + area
 
     # A state is packed as ``t * area + c``, the table's vertex key, and a
-    # move as the table's edge key. A heap entry is the int
-    # ``(f * span - g) * area + c``; g is below ``span``, so it orders as
-    # (f, -g, c), which is (f, -g, t, y, x) because t is start_t + g. A
+    # move as the table's edge key. Every search starts at t=0, so g is t.
+    # A heap entry is the int ``(f * span - t) * area + c``; t is below
+    # ``span`` (see the docstring), so it orders as (f, -t, y, x). A
     # state's parent is stored as its cell; its time is one less.
-    span = max(horizon - start_t, 0) + 1
-    g_step = (span - 1) * area  # key change for g + 1 at f + 1, as on a wait
+    last = rt.last_time
+    span = last + area + 1
+    g_step = (span - 1) * area  # key change for t + 1 at f + 1, as on a wait
     h_step = span * area  # key change per unit of h
     vertices = rt.vertices
     edges = rt.edges
@@ -380,9 +374,8 @@ def space_time_astar(
     dist = h.dist
     settle = h._distance
     heappush, heappop = heapq.heappush, heapq.heappop
-    parent: dict[int, int] = {start_t * area + start_id: -1}
+    parent: dict[int, int] = {start_id: -1}
     heap = [h_start * h_step + start_id]
-    last = rt.last_time
     # First time each cell was generated in the static tail, built on the
     # first expansion into the tail: most searches against a busy table
     # never get there.
@@ -396,8 +389,7 @@ def space_time_astar(
             countdown = DEADLINE_CHECK_POPS
         key = heappop(heap)
         c = key % area
-        g = -(key // area) % span
-        t = start_t + g
+        t = -(key // area) % span
         if c == goal_id and t >= clear:
             states = []
             while c >= 0:
@@ -407,11 +399,9 @@ def space_time_astar(
                 t -= 1
             states.reverse()
             return TimedPath(agent, tuple(states))
-        if t >= horizon:
-            continue
         nt = t + 1
         base = nt * area
-        g_part = (g + 1) * g_step
+        g_part = nt * g_step
         if nt <= last:
             ws = base + c
             if ws not in parent and ws not in vertices and stays[c] > nt:
@@ -433,9 +423,7 @@ def space_time_astar(
             # Static tail: no waits, no vertex or edge reservations, and a
             # cell is generated only earlier than it ever was before.
             if tail_first is None:
-                tail_first = [horizon + 1] * area
-                if start_t > last:
-                    tail_first[start_id] = start_t
+                tail_first = [span] * area
             for nb in table[c]:
                 if tail_first[nb] <= nt or stays[nb] <= nt:
                     continue

@@ -166,32 +166,44 @@ class SolveTrace:
         return sum(r.parallel_seconds for r in self.iterations)
 
 
+def _plan(
+    instance: ProblemInstance, agent: int, rt: ReservationTable, deadline: float,
+    timeout: float, heuristic: ReverseResumableAStar | None = None,
+) -> TimedPath:
+    """The one step both planners take per agent: its path against ``rt``.
+    SolveTimeout or SolveFailure names ``agent`` when ``deadline`` passes,
+    before the search or inside it, or when the search comes back empty."""
+    if time.perf_counter() > deadline:
+        raise SolveTimeout(f"timed out after {timeout} s", agent=agent)
+    src, dst = instance.agents[agent]
+    try:
+        path = space_time_astar(
+            instance.grid, src, dst, rt, heuristic=heuristic, agent=agent, deadline=deadline
+        )
+    except TimeoutError:
+        raise SolveTimeout(f"timed out after {timeout} s", agent=agent) from None
+    if path is None:
+        raise SolveFailure(f"no feasible path for agent {agent}", agent=agent)
+    return path
+
+
 def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Solution:
     """Prioritized planning: plan agents one at a time in ``order``, each
     against the reservations of its predecessors.
 
     Incomplete by nature: raises SolveFailure naming the first agent whose
-    search comes back empty, or SolveTimeout naming the agent being planned
-    once ``timeout`` seconds have passed. The budget is checked between
-    agents and inside each search, so one long search cannot overrun it.
+    search comes back empty. The budget is checked before each search and
+    inside it: once ``timeout`` seconds have passed, SolveTimeout names the
+    agent about to be searched, or the one whose search was cut.
     """
-    grid = instance.grid
     order = [int(a) for a in order]
     if sorted(order) != list(range(instance.n_agents)):
         raise ValueError("order must be a permutation of agent ids")
     deadline = time.perf_counter() + timeout
-    rt = ReservationTable(grid)
+    rt = ReservationTable(instance.grid)
     paths: dict[int, TimedPath] = {}
     for agent in order:
-        if time.perf_counter() > deadline:
-            raise SolveTimeout(f"timed out after {timeout} s", agent=agent)
-        src, dst = instance.agents[agent]
-        try:
-            path = space_time_astar(grid, src, dst, rt, 0, agent=agent, deadline=deadline)
-        except TimeoutError:
-            raise SolveTimeout(f"timed out after {timeout} s", agent=agent) from None
-        if path is None:
-            raise SolveFailure(f"no feasible path for agent {agent}", agent=agent)
+        path = _plan(instance, agent, rt, deadline, timeout)
         rt.insert_path(path)
         paths[agent] = path
     return Solution.from_paths(paths)
@@ -208,10 +220,9 @@ def solve_variant(
     graph is assembled, an independent set of it is fixed into the
     reservation table, and the remaining agents replan. At least one agent
     is fixed per round, so at most ``n_agents`` rounds run. The first failed
-    search raises SolveFailure naming its agent. Once ``timeout`` seconds
-    have passed, SolveTimeout names the agent whose search was cut, or the
-    first pending agent when the budget runs out between searches; the
-    budget is also checked inside each search.
+    search raises SolveFailure naming its agent. The budget is checked
+    before each search and inside it, as in ``solve_hca``: SolveTimeout
+    names the agent about to be searched, or the one whose search was cut.
 
     The searches and partition checks of a round are independent, so the
     round's ideal parallel latency is built from their times. They run one
@@ -235,24 +246,12 @@ def solve_variant(
     fixed: dict[int, TimedPath] = {}
     wall0 = time.perf_counter()
     while pending:
-        if time.perf_counter() > deadline:
-            raise SolveTimeout(f"timed out after {timeout} s", agent=pending[0])
         search_seconds: dict[int, float] = {}
         candidates: dict[int, TimedPath] = {}
         for agent in pending:
-            src, dst = instance.agents[agent]
             t0 = time.perf_counter()
-            try:
-                path = space_time_astar(
-                    grid, src, dst, rt, 0,
-                    heuristic=heuristics[agent], agent=agent, deadline=deadline,
-                )
-            except TimeoutError:
-                raise SolveTimeout(f"timed out after {timeout} s", agent=agent) from None
+            candidates[agent] = _plan(instance, agent, rt, deadline, timeout, heuristics[agent])
             search_seconds[agent] = time.perf_counter() - t0
-            if path is None:
-                raise SolveFailure(f"no feasible path for agent {agent}", agent=agent)
-            candidates[agent] = path
 
         segments_by_agent = {a: split_path(candidates[a], part, grid) for a in pending}
         by_partition: dict[int, list[SubpathSegment]] = {}

@@ -88,9 +88,9 @@ def test_criterion_01_space_time_search_matches_oracle():
         goal = free[int(rng.integers(len(free)))]
         if not rt.is_vertex_free(start, 0):
             continue
-        horizon = 64
+        horizon = rt.last_time + w * h
         expected = time_expanded_shortest(grid, start, goal, fixed, 0, horizon)
-        path = space_time_astar(grid, start, goal, rt, 0, horizon=horizon)
+        path = space_time_astar(grid, start, goal, rt)
         got = None if path is None else path.arrival_time
         assert got == expected, (
             f"cost mismatch on {w}x{h} map, {len(fixed)} reserved paths: "

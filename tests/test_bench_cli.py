@@ -155,6 +155,14 @@ class TestCsv:
         with pytest.raises(ValueError):
             parse_csv("nope,nope\n1,2\n")
 
+    def test_row_of_wrong_width_rejected(self):
+        cfg = BenchConfig(n_agents=2, n_instances=2, seed=4, width=10, height=10)
+        header, first, second = emit_csv(run_benchmark(cfg)[0]).splitlines()
+        with pytest.raises(ValueError, match="line 3: 3 fields"):
+            parse_csv("\n".join([header, first, "0,ok,16"]))
+        with pytest.raises(ValueError, match=f"line 2: {len(CSV_COLUMNS) + 1} fields"):
+            parse_csv("\n".join([header, first + ",7", second]))
+
 
 class TestPlotData:
     def test_series_layout(self):

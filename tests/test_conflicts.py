@@ -236,6 +236,20 @@ class TestValidateSolution:
             "agent -1: not in the instance",
         ]
 
+    def test_mislabeled_paths_reported(self):
+        # a mapping keys each path by its own agent: swapped or repeated
+        # paths are reported even where endpoints and collisions look fine
+        grid = GridMap(5, 5)
+        p0 = straight_path(0, [(0, 0), (1, 0)])
+        p1 = straight_path(1, [(4, 4), (3, 4)])
+        endpoints = {0: ((0, 0), (1, 0)), 1: ((4, 4), (3, 4))}
+        assert validate_solution({0: p0, 1: p1}, grid, endpoints) == []
+        assert validate_solution({0: p1, 1: p0}, grid, endpoints) == [
+            "agent 0: path belongs to agent 1",
+            "agent 1: path belongs to agent 0",
+        ]
+        assert validate_solution({0: p0, 1: p0}, grid) == ["agent 1: path belongs to agent 0"]
+
     def test_late_start(self):
         # agent 1 passes (2, 0) at t=2, where agent 0 stood before it started
         grid = GridMap(5, 5)

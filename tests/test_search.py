@@ -203,14 +203,14 @@ class TestSpaceTimeAstar:
         grid = GridMap(3, 3)
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(1, ((1, 1, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3))))
-        path = space_time_astar(grid, (0, 0), (2, 0), rt, 0)
+        path = space_time_astar(grid, (0, 0), (2, 0), rt)
         assert path.cost == 3  # wait once, then proceed
 
     def test_detours_around_goal_stay(self):
         grid = GridMap(3, 2)
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(9, ((1, 1, 0), (1, 0, 1))))  # parks on (1, 0) from t=1
-        path = space_time_astar(grid, (0, 0), (2, 0), rt, 0)
+        path = space_time_astar(grid, (0, 0), (2, 0), rt)
         assert path.cost == 4
         assert path.cells() == [(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)]
 
@@ -220,7 +220,7 @@ class TestSpaceTimeAstar:
         grid = GridMap(5, 5)
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(7, ((2, 4, 0), (2, 3, 1), (2, 2, 2), (2, 1, 3), (2, 0, 4))))
-        path = space_time_astar(grid, (2, 0), (2, 1), rt, 0)
+        path = space_time_astar(grid, (2, 0), (2, 1), rt)
         assert path is not None
         assert path.arrival_time > 3
 
@@ -228,7 +228,7 @@ class TestSpaceTimeAstar:
         grid = GridMap(3, 1)
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(1, ((1, 0, 0), (1, 0, 1))))  # parks mid-corridor
-        assert space_time_astar(grid, (0, 0), (2, 0), rt, 0) is None
+        assert space_time_astar(grid, (0, 0), (2, 0), rt) is None
 
     def test_start_equals_goal_with_eviction(self):
         # another agent passes through the cell: leave, loop around, return
@@ -237,7 +237,7 @@ class TestSpaceTimeAstar:
         rt.insert_path(
             TimedPath(101, ((4, 1, 0), (4, 0, 1), (4, 0, 2), (4, 0, 3), (3, 0, 4), (3, 1, 5), (3, 2, 6)))
         )
-        path = space_time_astar(grid, (4, 0), (4, 0), rt, 0)
+        path = space_time_astar(grid, (4, 0), (4, 0), rt)
         assert path is not None
         assert path.arrival_time == 4
         assert rt.path_conflict(path) is None
@@ -247,7 +247,13 @@ class TestSpaceTimeAstar:
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(1, ((0, 0, 0), (1, 0, 1))))
         with pytest.raises(ValueError):
-            space_time_astar(grid, (0, 0), (2, 0), rt, 0)
+            space_time_astar(grid, (0, 0), (2, 0), rt)
+
+    def test_optional_arguments_are_keyword_only(self):
+        # a stale start time passed by position is an error, not a heuristic
+        grid = GridMap(3, 1)
+        with pytest.raises(TypeError):
+            space_time_astar(grid, (0, 0), (2, 0), ReservationTable(grid), 0)
 
     def test_mismatched_heuristic_rejected(self):
         grid = GridMap(4, 4)
@@ -345,7 +351,7 @@ class TestSpaceTimeAstar:
                 continue
             horizon = rt.last_time + grid.width * grid.height
             expected = time_expanded_shortest(grid, s, g, fixed, 0, horizon)
-            path = space_time_astar(grid, s, g, rt, 0, horizon=horizon)
+            path = space_time_astar(grid, s, g, rt)
             if expected is None:
                 assert path is None
             else:
@@ -353,12 +359,10 @@ class TestSpaceTimeAstar:
             checked += 1
 
     def test_tail_matches_time_expanded_oracle(self):
-        # 3-6 fixed paths; searches that start before and after the last
-        # reservation; every third goal has each free neighbour parked on,
-        # so it is sealed off from some time on
+        # 3-6 fixed paths; every third goal has each free neighbour parked
+        # on, so it is sealed off from some time on
         rng = np.random.default_rng(2011)
-        starts = {"early": 0, "late": 0}
-        sealed = found = 0
+        sealed = found = tail = 0
         for case in range(60):
             grid = generate_random_map(
                 7, 7, float(rng.uniform(0, 0.3)), seed=int(rng.integers(1 << 30))
@@ -385,23 +389,45 @@ class TestSpaceTimeAstar:
                         rt.insert_path(p)
                         fixed.append(p)
             assert len(fixed) >= 3
-            late = case % 2 == 1
-            if late:
-                start_t = rt.last_time + int(rng.integers(1, 4))
-            else:
-                start_t = int(rng.integers(rt.last_time + 1))
-            open_starts = [c for c in free if rt.is_vertex_free(c, start_t)]
+            open_starts = [c for c in free if rt.is_vertex_free(c, 0)]
             s = open_starts[int(rng.integers(len(open_starts)))]
-            horizon = max(start_t, rt.last_time) + grid.width * grid.height
-            expected = time_expanded_shortest(grid, s, g, fixed, start_t, horizon)
-            path = space_time_astar(grid, s, g, rt, start_t)
+            horizon = rt.last_time + grid.width * grid.height
+            expected = time_expanded_shortest(grid, s, g, fixed, 0, horizon)
+            path = space_time_astar(grid, s, g, rt)
             if expected is None:
-                assert path is None, (case, s, g, start_t)
+                assert path is None, (case, s, g)
                 sealed += case % 3 == 0
+                # a search reaches the tail if it exhausts its states while
+                # it can wait on its start past rt.last_time ...
+                tail += (
+                    rt.goal_clear_time(g) is not None
+                    and bfs_distance(grid, s, g) is not None
+                    and all(rt.is_vertex_free(s, t) for t in range(rt.last_time + 1))
+                )
             else:
-                assert path is not None and path.arrival_time == expected, (case, s, g, start_t)
-                assert path.states[0] == (*s, start_t)
+                assert path is not None and path.arrival_time == expected, (case, s, g)
+                assert path.states[0] == (*s, 0)
                 assert rt.path_conflict(path) is None
                 found += 1
-            starts["late" if late else "early"] += 1
-        assert min(starts.values()) >= 20 and sealed >= 3 and found >= 20
+                tail += expected > rt.last_time  # ... or if it arrives there
+        assert sealed >= 3 and found >= 20 and tail >= 10
+
+    def test_corridor_answer_far_into_the_tail(self):
+        # a snake corridor through every free cell but one pocket; agent 1
+        # holds the corridor's second cell until t=10, then steps into the
+        # pocket, so the searching agent waits 10 steps, then walks the
+        # other 30 corridor cells: it arrives 29 steps into the tail
+        walls = {(x, 0) for x in range(7) if x != 1}
+        walls |= {(x, y) for y, gap in ((2, 6), (4, 0), (6, 6)) for x in range(7) if x != gap}
+        grid = GridMap(7, 8, frozenset(walls))
+        rt = ReservationTable(grid)
+        held = TimedPath(1, tuple((1, 1, t) for t in range(11)) + ((1, 0, 11),))
+        rt.insert_path(held)
+        start, goal = (0, 1), (0, 7)
+        horizon = rt.last_time + grid.width * grid.height
+        expected = time_expanded_shortest(grid, start, goal, [held], 0, horizon)
+        path = space_time_astar(grid, start, goal, rt)
+        assert len(grid.free_cells()) == 32
+        assert expected == rt.last_time + 29 == 40
+        assert path is not None and path.arrival_time == expected
+        assert rt.path_conflict(path) is None

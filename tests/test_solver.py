@@ -310,6 +310,29 @@ class TestBoundedSearch:
             assert time.perf_counter() - t0 < 0.5
             assert exc.value.agent == 1
 
+    def test_timeout_checked_before_every_search(self, monkeypatch):
+        # each search takes 0.05 s and never reaches its own deadline check,
+        # so only the check before a search can stop a planner: the budget
+        # runs out during agent 2's search, and agent 3 is never searched
+        grid = GridMap(8, 8)
+        inst = ProblemInstance(grid, tuple(((0, y), (3, y)) for y in range(8)))
+        search = mapfkit.solver.space_time_astar
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(mapfkit.solver, "space_time_astar", slow)
+        for solve in (
+            lambda: solve_hca(inst, range(8), timeout=0.12),
+            lambda: solve_variant(inst, timeout=0.12),
+        ):
+            t0 = time.perf_counter()
+            with pytest.raises(SolveTimeout) as exc:
+                solve()
+            assert time.perf_counter() - t0 < 0.3
+            assert exc.value.agent == 3
+
     def test_variant_timeout_between_rounds_names_first_pending(self):
         inst = crossing_pairs_instance()
         with pytest.raises(SolveTimeout) as exc:
