@@ -12,6 +12,7 @@ partition-local detection equivalent to the all-pairs check.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -238,10 +239,11 @@ def validate_solution(
 ) -> list[str]:
     """Check each path and every pair under full collision semantics,
     including indefinite goal stays up to the global makespan. Every path
-    must start at t=0, a mapping must key each path by its own agent, and
-    with ``endpoints`` every listed agent must have a path and every path
-    must belong to a listed agent. Returns the violations found; an empty
-    list means the solution is valid.
+    must start at t=0, a mapping must key each path by its own agent, a
+    sequence must list each agent once, and with ``endpoints`` every listed
+    agent must have a path and every path must belong to a listed agent.
+    Returns the violations found; an empty list means the solution is
+    valid.
     """
     if isinstance(paths, Mapping):
         items = list(paths.values())
@@ -249,7 +251,9 @@ def validate_solution(
             f"agent {k}: path belongs to agent {p.agent}" for k, p in paths.items() if k != p.agent
         ]
     else:
-        items, violations = list(paths), []
+        items = list(paths)
+        counts = Counter(p.agent for p in items)
+        violations = [f"agent {a}: listed twice" for a, n in counts.items() if n > 1]
     if endpoints is not None:
         have = {path.agent for path in items}
         listed = endpoints.keys() if isinstance(endpoints, Mapping) else range(len(endpoints))

@@ -4,15 +4,16 @@ maps, and rectangular map partitioning with O(1) point-to-partition lookup.
 Coordinates are ``(x, y)`` pairs with ``x`` the column and ``y`` the row; the
 origin is the top-left corner. Agents move on the 4-connected grid. Inside
 the search core a cell is its flat id ``y * width + x``: the map's neighbour
-table is a list indexed by flat id, and ``(x, y)`` pairs appear only at the
-public boundary.
+table is a list indexed by flat id, patched from an open-grid table that all
+maps of one size share, and ``(x, y)`` pairs appear only at the public
+boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -20,6 +21,9 @@ Coord = tuple[int, int]
 
 FREE_CHARS = frozenset(".G")
 OBSTACLE_CHARS = frozenset("@OT")
+# open-grid neighbour tables kept alive, one per (width, height); every
+# workload uses one or two map sizes
+OPEN_TABLE_CACHE_SIZE = 4
 
 
 class MapFormatError(ValueError):
@@ -68,51 +72,31 @@ class GridMap:
 
     @cached_property
     def neighbor_table(self) -> list[tuple[int, ...] | None]:
-        """Free 4-neighbours of every cell as flat ids, indexed by flat id;
-        None for an obstacle. Built on first use."""
-        # neighbour order (+x, -x, +y, -y) fixes the searches' tie-breaking
-        w, h, blocked = self.width, self.height, self.obstacles
-        table: list[tuple[int, ...] | None] = []
-        for y in range(h):
-            for x in range(w):
-                if (x, y) in blocked:
-                    table.append(None)
-                    continue
-                c = y * w + x
-                nbrs = []
-                if x + 1 < w and (x + 1, y) not in blocked:
-                    nbrs.append(c + 1)
-                if x > 0 and (x - 1, y) not in blocked:
-                    nbrs.append(c - 1)
-                if y + 1 < h and (x, y + 1) not in blocked:
-                    nbrs.append(c + w)
-                if y > 0 and (x, y - 1) not in blocked:
-                    nbrs.append(c - w)
-                table.append(tuple(nbrs))
-        return table
+        """Free 4-neighbours of every cell as flat ids, in the order (+x, -x,
+        +y, -y), indexed by flat id; None for an obstacle. Built on first use.
+
+        The table is a copy of the shared open-grid table of this map's size,
+        patched for the obstacles: a free cell with no blocked neighbour
+        keeps the shared tuple, and every id is the shared int object.
+        """
+        ids = {self.cell_id(cell) for cell in self.obstacles}
+        return _block(list(_open_table(self.width, self.height)), ids)
 
     def with_obstacles(self, cells) -> "GridMap":
         """This map with ``cells`` blocked too; raises ValueError for an
         out-of-bounds cell.
 
-        If this map has built its neighbour table, the new map gets a patched
-        copy instead of building its own: the new obstacles' entries become
-        None, and they leave their free neighbours' tuples, whose order is
-        kept. The result equals a map built from scratch with the same
-        obstacles.
+        If this map has built its neighbour table, the new map gets a copy
+        patched for the new obstacles, by the routine that builds every
+        table, instead of building its own. The result equals a map built
+        from scratch with the same obstacles.
         """
         added = set(cells) - self.obstacles
         derived = GridMap(self.width, self.height, self.obstacles | added)
         parent_table = self.__dict__.get("neighbor_table")
         if parent_table is not None:
-            table = list(parent_table)
             ids = {self.cell_id(cell) for cell in added}
-            for c in ids:
-                for nb in table[c]:
-                    if nb not in ids:
-                        table[nb] = tuple(n for n in table[nb] if n != c)
-                table[c] = None
-            derived.__dict__["neighbor_table"] = table
+            derived.__dict__["neighbor_table"] = _block(list(parent_table), ids)
         return derived
 
     def neighbors4(self, cell: Coord) -> tuple[Coord, ...]:
@@ -122,6 +106,38 @@ class GridMap:
             raise ValueError(f"{cell} is not a free cell")
         w = self.width
         return tuple((n % w, n // w) for n in self.neighbor_table[self.cell_id(cell)])
+
+
+@lru_cache(maxsize=OPEN_TABLE_CACHE_SIZE)
+def _open_table(width: int, height: int) -> tuple[tuple[int, ...], ...]:
+    """Neighbour tuples of the obstacle-free ``width x height`` map, in the
+    order (+x, -x, +y, -y) that fixes the searches' tie-breaking. Each id is
+    one int object, shared by every tuple that names it.
+
+    The cache keeps alive the tables of the ``OPEN_TABLE_CACHE_SIZE`` most
+    recently used sizes, one tuple and one int per cell each (about 260 KB
+    at 50x50). A map's table also keeps alive every shared tuple it did not
+    patch, whether or not its size is still cached.
+    """
+    ids = list(range(width * height))
+    table = []
+    for c in ids:
+        y, x = divmod(c, width)
+        steps = ((1, x + 1 < width), (-1, x > 0), (width, y + 1 < height), (-width, y > 0))
+        table.append(tuple(ids[c + d] for d, inside in steps if inside))
+    return tuple(table)
+
+
+def _block(table: list, ids: set[int]) -> list:
+    """Patch ``table`` in place so that the free cells ``ids`` become
+    obstacles: their entries become None, and they leave their neighbours'
+    tuples, whose order is kept. Returns ``table``."""
+    for c in ids:
+        for nb in table[c]:
+            if nb not in ids:
+                table[nb] = tuple(n for n in table[nb] if n != c)
+        table[c] = None
+    return table
 
 
 def parse_movingai_map(text: str) -> GridMap:

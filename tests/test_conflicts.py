@@ -250,6 +250,17 @@ class TestValidateSolution:
         ]
         assert validate_solution({0: p0, 1: p0}, grid) == ["agent 1: path belongs to agent 0"]
 
+    def test_agent_listed_twice_reported(self):
+        # collisions skip pairs of one agent id, so only this check sees
+        # two different routes handed in for one agent
+        grid = GridMap(3, 2)
+        p = straight_path(0, [(0, 0), (1, 0), (2, 0)])
+        q = straight_path(0, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)])
+        endpoints = [((0, 0), (2, 0))]
+        assert validate_solution([p], grid, endpoints) == []
+        assert validate_solution([p, q], grid, endpoints) == ["agent 0: listed twice"]
+        assert validate_solution([p, q], grid) == ["agent 0: listed twice"]
+
     def test_late_start(self):
         # agent 1 passes (2, 0) at t=2, where agent 0 stood before it started
         grid = GridMap(5, 5)

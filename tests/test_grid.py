@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,91 @@ class TestWithObstacles:
         fresh = GridMap(10, 10, grid.obstacles | set(cells))
         assert derived == fresh
         assert neighbor_table(derived) == neighbor_table(fresh)
+
+
+def table_cell_by_cell(grid):
+    """Reference neighbour table: each free cell's free 4-neighbours,
+    tested one by one in the order (+x, -x, +y, -y); None for an obstacle."""
+    w, h, blocked = grid.width, grid.height, grid.obstacles
+    table = []
+    for y in range(h):
+        for x in range(w):
+            if (x, y) in blocked:
+                table.append(None)
+                continue
+            c = y * w + x
+            nbrs = []
+            if x + 1 < w and (x + 1, y) not in blocked:
+                nbrs.append(c + 1)
+            if x > 0 and (x - 1, y) not in blocked:
+                nbrs.append(c - 1)
+            if y + 1 < h and (x, y + 1) not in blocked:
+                nbrs.append(c + w)
+            if y > 0 and (x, y - 1) not in blocked:
+                nbrs.append(c - w)
+            table.append(tuple(nbrs))
+    return table
+
+
+class TestNeighborTable:
+    def test_matches_cell_by_cell_build(self):
+        rng = np.random.default_rng(14)
+        for w in range(1, 14):
+            for h in range(1, 14):
+                for p in (0.0, 0.2, 0.5, 1.0):
+                    if p == 1.0:
+                        grid = GridMap(w, h, frozenset((x, y) for x in range(w) for y in range(h)))
+                    else:
+                        grid = generate_random_map(w, h, p, int(rng.integers(1 << 30)))
+                    # list equality compares each tuple, so order counts too
+                    assert grid.neighbor_table == table_cell_by_cell(grid), (w, h, p)
+
+    def test_open_cells_share_tuples_and_ids(self):
+        a = generate_random_map(30, 30, 0.1, 1)
+        b = generate_random_map(30, 30, 0.1, 2)
+        blocked = a.obstacles | b.obstacles
+        cells = [
+            (x, y)
+            for x in range(1, 29)
+            for y in range(1, 29)
+            if not {(x, y), (x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)} & blocked
+        ]
+        assert len(cells) > 100
+        for cell in cells:
+            c = a.cell_id(cell)
+            assert a.neighbor_table[c] is b.neighbor_table[c]
+        # a patched tuple names the same int objects as the shared ones
+        for ta, tb in zip(a.neighbor_table, b.neighbor_table):
+            if ta and tb:
+                for n in set(ta) & set(tb):
+                    assert ta[ta.index(n)] is tb[tb.index(n)]
+
+    def test_other_maps_leave_a_table_unchanged(self):
+        first = generate_random_map(16, 11, 0.3, 4)
+        table = list(first.neighbor_table)
+        assert table == table_cell_by_cell(first)
+        second = generate_random_map(16, 11, 0.3, 5)
+        assert second.neighbor_table == table_cell_by_cell(second)
+        derived = first.with_obstacles(first.free_cells()[::2])
+        assert derived.neighbor_table == table_cell_by_cell(derived)
+        assert first.neighbor_table == table
+        open_grid = GridMap(16, 11)
+        assert open_grid.neighbor_table == table_cell_by_cell(open_grid)
+
+    def test_table_memory_per_map(self):
+        # a table copied from the shared open-grid one holds one list slot
+        # per cell plus the tuples patched around obstacles: about 80 KB at
+        # 50x50 and p=0.1, where a table built cell by cell held about 390 KB
+        maps = [generate_random_map(50, 50, 0.1, seed) for seed in range(20)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for grid in maps:
+                grid.neighbor_table  # each map keeps its table
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / 20 < 150 * 1024
 
 
 def test_random_map_downsample_statistics():
