@@ -170,7 +170,8 @@ def pack_segment(enc: EncodedSegment, n_agents: int, map_side: int) -> bytes:
 
 
 def unpack_segment(data: bytes, n_agents: int, map_side: int) -> EncodedSegment:
-    """Inverse of ``pack_segment``; raises CodecError on truncated streams."""
+    """Inverse of ``pack_segment``; raises CodecError on any stream it cannot
+    write: truncated, out of range, or with bits past the terminator's padding."""
     bits = int.from_bytes(data, "big")
     total = len(data) * 8
     pos = 0
@@ -183,6 +184,8 @@ def unpack_segment(data: bytes, n_agents: int, map_side: int) -> EncodedSegment:
         return (bits >> (total - pos)) & ((1 << width) - 1)
 
     agent, x, y = [take(width) for width in header_widths(n_agents, map_side)]
+    if agent >= n_agents or max(x, y) >= map_side:
+        raise CodecError(f"agent {agent} at ({x}, {y}) out of range")
     start_time = 0
     moves: list[str] = []
     while True:
@@ -197,4 +200,6 @@ def unpack_segment(data: bytes, n_agents: int, map_side: int) -> EncodedSegment:
             start_time += 1
         else:
             moves.append(sym)
+    if total - pos >= 8 or bits & ((1 << (total - pos)) - 1):
+        raise CodecError("bits after the terminator are not its zero padding")
     return EncodedSegment(agent, (x, y), start_time, "".join(moves))

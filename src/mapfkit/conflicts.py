@@ -1,6 +1,6 @@
-"""Candidate-path conflict detection: per-partition subpath splitting,
-partition-local collision reports, intersection-graph assembly, connected
-components, and whole-solution validation.
+"""Conflict primitives: per-partition subpath splitting, partition-local
+collision reports, the intersection-graph type, connected components and
+whole-solution validation. ``solver`` runs the pipeline and merges reports.
 
 A path's final cell stays occupied after arrival (agents park at their
 goals), so detection extends final states forward in time up to the
@@ -176,37 +176,6 @@ class IntersectionGraph:
             adj[a].add(b)
             adj[b].add(a)
         return adj
-
-
-def partition_conflict_reports(
-    paths: Iterable[TimedPath], part: Partitioning, grid: GridMap
-) -> dict[int, ConflictReport]:
-    """Split every path and run partition-local detection wherever at least
-    one segment lands; reports are keyed by partition id."""
-    paths = list(paths)
-    if not paths:
-        return {}
-    horizon = max(p.arrival_time for p in paths)
-    by_partition: dict[int, list[SubpathSegment]] = {}
-    for path in paths:
-        for seg in split_path(path, part, grid):
-            by_partition.setdefault(seg.partition, []).append(seg)
-    return {
-        pid: detect_conflicts_in_partition(segs, horizon)
-        for pid, segs in sorted(by_partition.items())
-    }
-
-
-def build_intersection_graph(
-    paths: Iterable[TimedPath], part: Partitioning, grid: GridMap
-) -> IntersectionGraph:
-    """Assemble the collision graph from partition-local reports; the edge
-    set equals what an all-pairs whole-path comparison would find."""
-    paths = list(paths)
-    edges: set[tuple[int, int]] = set()
-    for report in partition_conflict_reports(paths, part, grid).values():
-        edges |= report.pairs
-    return IntersectionGraph(tuple(sorted(p.agent for p in paths)), frozenset(edges))
 
 
 def connected_components(g: IntersectionGraph) -> list[tuple[int, ...]]:

@@ -1,11 +1,11 @@
-"""Two planners over the same search core.
+"""Two planners over the same search core, and the one conflict pipeline.
 
 ``solve_hca`` is classic prioritized planning: agents plan one at a time in a
 user-supplied priority order, each against the reservations of its
 predecessors. ``solve_variant`` needs no priority order: every unfixed agent
-plans simultaneously against the current reservations, candidate paths are
-split per map partition and checked for collisions partition-locally, an
-independent set of the resulting collision graph is fixed, and the rest
+plans simultaneously against the current reservations, the candidate paths
+go through the one conflict pipeline, ``partition_conflict_reports``, an
+independent set of the merged collision graph is fixed, and the rest
 replan. Both planners share the reservation semantics (including indefinite
 goal stays), so their costs are directly comparable.
 """
@@ -13,6 +13,7 @@ goal stays), so their costs are directly comparable.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -166,6 +167,44 @@ class SolveTrace:
         return sum(r.parallel_seconds for r in self.iterations)
 
 
+def partition_conflict_reports(
+    paths: Iterable[TimedPath], part: Partitioning, grid: GridMap
+) -> tuple[dict[int, list[SubpathSegment]], dict[int, ConflictReport], dict[int, float]]:
+    """A round's conflict step: split every path over ``part``, group the
+    segments by partition, and check each partition that holds one, up to the
+    latest arrival. Returns the segments by agent, the reports by increasing
+    partition id, and each check's own seconds; the split is untimed. The
+    ``conflicts`` primitives are called through this module's names."""
+    paths = list(paths)
+    segments_by_agent: dict[int, list[SubpathSegment]] = {}
+    by_partition: dict[int, list[SubpathSegment]] = {}
+    for path in paths:
+        segments_by_agent[path.agent] = segments = split_path(path, part, grid)
+        for seg in segments:
+            by_partition.setdefault(seg.partition, []).append(seg)
+    horizon = max((p.arrival_time for p in paths), default=0)
+    reports: dict[int, ConflictReport] = {}
+    detect_seconds: dict[int, float] = {}
+    for pid in sorted(by_partition):
+        t0 = time.perf_counter()
+        reports[pid] = detect_conflicts_in_partition(by_partition[pid], horizon)
+        detect_seconds[pid] = time.perf_counter() - t0
+    return segments_by_agent, reports, detect_seconds
+
+
+def _merge(nodes: Iterable[int], reports: dict[int, ConflictReport]) -> IntersectionGraph:
+    return IntersectionGraph(tuple(nodes), frozenset().union(*(r.pairs for r in reports.values())))
+
+
+def build_intersection_graph(
+    paths: Iterable[TimedPath], part: Partitioning, grid: GridMap
+) -> IntersectionGraph:
+    """Assemble the collision graph from the partition-local reports; the
+    edge set equals what an all-pairs whole-path comparison would find."""
+    paths = list(paths)
+    return _merge(sorted(p.agent for p in paths), partition_conflict_reports(paths, part, grid)[1])
+
+
 def _plan(
     instance: ProblemInstance, agent: int, rt: ReservationTable, deadline: float,
     timeout: float, heuristic: ReverseResumableAStar | None = None,
@@ -215,13 +254,13 @@ def solve_variant(
     """Iterated independent-set planning (no priority order needed).
 
     Each round: every pending agent plans against the current reservations
-    (round one degenerates to plain shortest paths), paths are split over
-    one map partition per agent and checked partition-locally, the collision
-    graph is assembled, an independent set of it is fixed into the
-    reservation table, and the remaining agents replan. At least one agent
-    is fixed per round, so at most ``n_agents`` rounds run. The first failed
-    search raises SolveFailure naming its agent. The budget is checked
-    before each search and inside it, as in ``solve_hca``: SolveTimeout
+    (round one degenerates to plain shortest paths),
+    ``partition_conflict_reports`` splits the paths over one map partition per
+    agent and checks each partition, an independent set of the merged collision
+    graph is fixed into the reservation table, and the remaining agents replan.
+    At least one agent is fixed per round, so at most ``n_agents`` rounds run.
+    The first failed search raises SolveFailure naming its agent. The budget is
+    checked before each search and inside it, as in ``solve_hca``: SolveTimeout
     names the agent about to be searched, or the one whose search was cut.
 
     The searches and partition checks of a round are independent, so the
@@ -239,9 +278,7 @@ def solve_variant(
     grid.neighbor_table  # build it now, outside the first agent's timed search
     deadline = time.perf_counter() + timeout
     rt = ReservationTable(grid)
-    heuristics = {
-        i: ReverseResumableAStar(grid, instance.agents[i][1]) for i in range(n)
-    }
+    heuristics = [ReverseResumableAStar(grid, goal) for _, goal in instance.agents]
     pending = list(range(n))
     fixed: dict[int, TimedPath] = {}
     wall0 = time.perf_counter()
@@ -253,25 +290,13 @@ def solve_variant(
             candidates[agent] = _plan(instance, agent, rt, deadline, timeout, heuristics[agent])
             search_seconds[agent] = time.perf_counter() - t0
 
-        segments_by_agent = {a: split_path(candidates[a], part, grid) for a in pending}
-        by_partition: dict[int, list[SubpathSegment]] = {}
-        for segments in segments_by_agent.values():
-            for seg in segments:
-                by_partition.setdefault(seg.partition, []).append(seg)
-        det_horizon = max(path.arrival_time for path in candidates.values())
-        detect_seconds: dict[int, float] = {}
-        reports: dict[int, ConflictReport] = {}
-        for pid in sorted(by_partition):
-            t0 = time.perf_counter()
-            reports[pid] = detect_conflicts_in_partition(by_partition[pid], det_horizon)
-            detect_seconds[pid] = time.perf_counter() - t0
+        segments_by_agent, reports, detect_seconds = partition_conflict_reports(
+            candidates.values(), part, grid
+        )
 
         server0 = time.perf_counter()
         pair_counts = {pid: r.count for pid, r in reports.items()}
-        edges: set[tuple[int, int]] = set()
-        for r in reports.values():
-            edges |= r.pairs
-        ig = IntersectionGraph(tuple(pending), frozenset(edges))
+        ig = _merge(pending, reports)
         chosen = tuple(sorted(independent_set(ig)))
         comm_entry = IterationComm(
             source_goal_bits=source_goal_bits(len(pending), map_side),

@@ -224,6 +224,34 @@ class TestPackedWire:
         with pytest.raises(ValueError):
             pack_segment(EncodedSegment(0, (100, 0), 0, ""), 64, 100)
 
+    def test_out_of_range_header_not_unpacked(self):
+        # 5 agents and side 5 take 3-bit fields, which can carry 5..7, but
+        # pack_segment never writes those
+        with pytest.raises(CodecError):
+            unpack_segment(bytes([0b11111111, 0b11100000]), 5, 5)  # agent 7 at (7, 7), e
+        with pytest.raises(CodecError):
+            unpack_segment(bytes([0b00011100, 0b01100000]), 5, 5)  # agent 0 at (7, 0), e
+        with pytest.raises(CodecError):
+            unpack_segment(bytes([0b00000010, 0b11100000]), 5, 5)  # agent 0 at (0, 5), e
+        assert unpack_segment(bytes([0b10010010, 0b01100000]), 5, 5) == EncodedSegment(
+            4, (4, 4), 0, ""
+        )
+
+    def test_trailing_bytes_rejected(self):
+        enc = EncodedSegment(3, (1, 6), 2, "ru")
+        packed = pack_segment(enc, 4, 8)
+        assert unpack_segment(packed, 4, 8) == enc
+        for extra in (b"\xff\xff", b"\x00"):
+            with pytest.raises(CodecError):
+                unpack_segment(packed + extra, 4, 8)
+
+    def test_nonzero_padding_rejected(self):
+        enc = EncodedSegment(3, (1, 6), 0, "ru")
+        packed = pack_segment(enc, 4, 8)
+        assert segment_bits(enc, 4, 8) % 8 != 0  # the last byte carries padding
+        with pytest.raises(CodecError):
+            unpack_segment(packed[:-1] + bytes([packed[-1] | 1]), 4, 8)
+
     def test_truncated_rejected(self):
         enc = encode_segment(EXAMPLE_SEGMENT)
         packed = pack_segment(enc, 64, 12)

@@ -113,7 +113,7 @@ class TestDetectConflicts:
         part = Partitioning.for_map(grid, 4)  # boundary between x=5 and x=6
         a = straight_path(0, [(5, 3), (6, 3)])
         b = straight_path(1, [(6, 3), (5, 3)])
-        reports = partition_conflict_reports([a, b], part, grid)
+        _, reports, _ = partition_conflict_reports([a, b], part, grid)
         seen = set()
         for rep in reports.values():
             seen |= rep.pairs

@@ -10,11 +10,11 @@ from mapfkit import (
     ProblemInstance,
     SolveFailure,
     SolveTimeout,
+    TimedPath,
     astar_static,
     build_intersection_graph,
     generate_instance,
     generate_random_map,
-    partition_conflict_reports,
     solve_hca,
     solve_variant,
     space_time_astar,
@@ -252,19 +252,44 @@ class TestSolveVariant:
         assert trace.ledger.rt_bits > 0
         assert all(it.path_bits > 0 for it in trace.ledger.iterations)
 
-    def test_round_conflicts_match_library_pipeline(self):
-        # the solver's own split -> group -> detect loop must agree, round by
-        # round, with partition_conflict_reports and build_intersection_graph
+    def test_graph_and_rounds_share_one_conflict_pipeline(self, monkeypatch):
+        # build_intersection_graph and every solve_variant round split and
+        # check through mapfkit.solver's names, so a wrapper there sees both
+        splits, checks = [], []
+        split = mapfkit.solver.split_path
+        detect = mapfkit.solver.detect_conflicts_in_partition
+
+        def counted_split(path, *args):
+            splits.append(path.agent)
+            return split(path, *args)
+
+        def counted_detect(segments, horizon):
+            checks.append({seg.partition for seg in segments})
+            return detect(segments, horizon)
+
+        monkeypatch.setattr(mapfkit.solver, "split_path", counted_split)
+        monkeypatch.setattr(mapfkit.solver, "detect_conflicts_in_partition", counted_detect)
         inst = crossing_pairs_instance()
         grid = inst.grid
         part = Partitioning.for_map(grid, inst.n_agents)
+        paths = [
+            TimedPath(a, tuple((x, y, t) for t, (x, y) in enumerate(astar_static(grid, s, g))))
+            for a, (s, g) in enumerate(inst.agents)
+        ]
+        ig = build_intersection_graph(paths, part, grid)
+        assert ig.edges == {(0, 1), (2, 3)}
+        assert splits == [0, 1, 2, 3]
+        holding = sorted({part.locate(c) for path in paths for c in path.cells()})
+        assert [sorted(c) for c in checks] == [[pid] for pid in holding]
+
+        splits.clear()
+        checks.clear()
         _, trace = solve_variant(inst)
-        assert trace.iterations[0].ig.n_edges == 2
-        for rec in trace.iterations:
-            paths = list(rec.candidate_paths.values())
-            reports = partition_conflict_reports(paths, part, grid)
-            assert rec.partition_pair_counts == {pid: r.count for pid, r in reports.items()}
-            assert rec.ig.edges == build_intersection_graph(paths, part, grid).edges
+        assert trace.n_iterations == 2
+        assert splits == [a for rec in trace.iterations for a in rec.ig.nodes]
+        assert [sorted(c) for c in checks] == [
+            [pid] for rec in trace.iterations for pid in rec.detect_seconds
+        ]
 
     def test_round_stops_at_first_failed_search(self, monkeypatch):
         # two walled-off corridors, each with a head-on pair: round one fixes
