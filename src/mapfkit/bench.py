@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .comm import DEFAULT_DATA_RATE, CommConfig, comm_time, speedup
+from .comm import DEFAULT_DATA_RATE, check_data_rate, comm_time, speedup
 from .grid import generate_random_map, parse_movingai_map
 from .instances import GenerationError, generate_instance
 from .solver import ProblemInstance, SolveFailure, solve_hca, solve_variant
@@ -92,11 +92,11 @@ def compare(
     order,
     timeout: float = 60.0,
     instance_id: int = 0,
-    comm: CommConfig | None = None,
+    data_rate: float = DEFAULT_DATA_RATE,
 ) -> BenchmarkRecord:
     """Run both planners on one instance and compute variant/baseline
     ratios; a failing planner yields a failure status instead of ratios.
-    The ledger is priced at ``comm``'s data rate."""
+    Both planners are timed from outside; bits are priced at ``data_rate``."""
     record = BenchmarkRecord(instance_id=instance_id, status="ok", n_agents=instance.n_agents)
 
     t0 = time.perf_counter()
@@ -105,10 +105,12 @@ def compare(
     except SolveFailure:
         hca = None
     record.hca_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
     try:
         variant, trace = solve_variant(instance, timeout)
     except SolveFailure:
         variant, trace = None, None
+    variant_seconds = time.perf_counter() - t0
 
     if hca is not None:
         record.hca_sum_of_costs = hca.sum_of_costs
@@ -118,8 +120,8 @@ def compare(
         record.variant_makespan = variant.makespan
         record.iterations = trace.n_iterations
         record.comm_bits = trace.ledger.total_bits()
-        record.comm_seconds = comm_time(trace.ledger, comm)
-        record.variant_wall_seconds = trace.wall_seconds
+        record.comm_seconds = comm_time(trace.ledger, data_rate)
+        record.variant_wall_seconds = variant_seconds
         record.variant_ideal_seconds = trace.ideal_parallel_seconds
     if hca is None and variant is None:
         record.status = "both_failed"
@@ -157,6 +159,11 @@ class BenchConfig:
     map_file: str | None = None
     data_rate: float = DEFAULT_DATA_RATE
     timeout: float = 60.0
+
+    def __post_init__(self):
+        if self.n_instances < 0:
+            raise ValueError(f"instance count must be nonnegative, got {self.n_instances}")
+        check_data_rate(self.data_rate)
 
 
 @dataclass(frozen=True)
@@ -196,7 +203,6 @@ def run_benchmark(cfg: BenchConfig) -> tuple[list[BenchmarkRecord], SummaryStats
     """
     master = np.random.SeedSequence(cfg.seed)
     children = master.spawn(cfg.n_instances)
-    rate = CommConfig(cfg.data_rate)  # rejects a bad rate before any solve
     base_grid = (
         parse_movingai_map(Path(cfg.map_file).read_text()) if cfg.map_file else None
     )
@@ -216,7 +222,7 @@ def run_benchmark(cfg: BenchConfig) -> tuple[list[BenchmarkRecord], SummaryStats
             )
             continue
         order = [int(a) for a in np.random.default_rng(order_ss).permutation(cfg.n_agents)]
-        records.append(compare(instance, order, cfg.timeout, instance_id=i, comm=rate))
+        records.append(compare(instance, order, cfg.timeout, i, cfg.data_rate))
     return records, summarize(records)
 
 

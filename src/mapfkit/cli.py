@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import BenchConfig, emit_csv, emit_plot_data, run_benchmark
-from .comm import DEFAULT_DATA_RATE, CommConfig, comm_time
+from .comm import DEFAULT_DATA_RATE, check_data_rate, comm_time
 from .conflicts import validate_solution
 from .grid import GridMap, MapFormatError, generate_random_map, parse_movingai_map, serialize_movingai_map
 from .instances import (
@@ -96,10 +96,11 @@ def _cmd_gen_instance(args) -> int:
     else:
         grid = generate_random_map(args.width, args.height, args.p_obstacle, args.seed)
         map_name = Path(args.map_out).name if args.map_out else "random.map"
+    instance = generate_instance(grid, args.agents, args.seed)
+    scenario = write_scenario(instance, map_name)  # rejects a bad name before writing
     if args.map_out:
         Path(args.map_out).write_text(serialize_movingai_map(grid))
-    instance = generate_instance(grid, args.agents, args.seed)
-    Path(args.out).write_text(write_scenario(instance, map_name))
+    Path(args.out).write_text(scenario)
     if args.meta_out:
         Path(args.meta_out).write_text(write_instance_metadata(instance))
     print(f"wrote {args.agents} agents to {args.out}")
@@ -125,7 +126,7 @@ def _cmd_solve_hca(args) -> int:
 
 def _cmd_solve_variant(args) -> int:
     _, instance = _load_instance(args.map, args.scen)
-    rate = CommConfig(args.data_rate)  # rejects a bad rate before solving
+    check_data_rate(args.data_rate)  # rejects a bad rate before solving
     try:
         solution, trace = solve_variant(instance, args.timeout)
     except SolveFailure as exc:
@@ -134,7 +135,7 @@ def _cmd_solve_variant(args) -> int:
     _print_solution("variant", solution)
     print(
         f"iterations={trace.n_iterations} comm_bits={trace.ledger.total_bits()} "
-        f"comm_seconds={comm_time(trace.ledger, rate):.6g}"
+        f"comm_seconds={comm_time(trace.ledger, args.data_rate):.6g}"
     )
     if args.paths_out:
         Path(args.paths_out).write_text(write_paths(solution.paths))

@@ -99,8 +99,8 @@ def decode_segment(enc: EncodedSegment) -> SubpathSegment:
 def parse_encoded(text: str) -> EncodedSegment:
     """Parse the spaced text form back into an encoded segment.
 
-    Raises CodecError for short or malformed streams: missing terminator,
-    unknown symbols, ``n`` markers after moves, or trailing symbols.
+    Raises CodecError for short or malformed streams: a negative header field,
+    missing terminator, unknown symbols, ``n`` after moves, trailing symbols.
     """
     tokens = text.split()
     if len(tokens) < 4:
@@ -109,6 +109,8 @@ def parse_encoded(text: str) -> EncodedSegment:
         agent, x, y = int(tokens[0]), int(tokens[1]), int(tokens[2])
     except ValueError as exc:
         raise CodecError(f"malformed header: {tokens[:3]}") from exc
+    if min(agent, x, y) < 0:
+        raise CodecError(f"negative header field: {tokens[:3]}")
     symbols = tokens[3:]
     i = 0
     while i < len(symbols) and symbols[i] == "n":

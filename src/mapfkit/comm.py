@@ -3,12 +3,13 @@
 Nothing is transmitted; these are exact bit counts over a solve trace: the
 per-round source/goal broadcast, candidate-path uploads (segment encoding),
 collision-pair reports, and the final reservation-table broadcast, converted
-to seconds at a configurable data rate. The default rate reads "10 MBps" as
+to seconds at a given data rate. The default rate reads "10 MBps" as
 10 megabytes per second, i.e. 8e7 bits per second.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -17,13 +18,11 @@ from .codec import BITS_PER_SYMBOL, ceil_log2, header_widths, path_bits
 DEFAULT_DATA_RATE = 8e7  # bits per second
 
 
-@dataclass(frozen=True)
-class CommConfig:
-    data_rate: float = DEFAULT_DATA_RATE
-
-    def __post_init__(self):
-        if self.data_rate <= 0:
-            raise ValueError("data rate must be positive")
+def check_data_rate(rate: float) -> float:
+    """``rate`` in bits per second; ValueError unless it is positive and finite."""
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"data rate must be positive and finite, got {rate}")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,9 @@ def reservation_table_bits(path_lengths: Iterable[int], n_agents: int, map_side:
     return sum(header + BITS_PER_SYMBOL * (length + 1) for length in path_lengths)
 
 
-def comm_time(ledger: CommLedger, cfg: CommConfig | None = None) -> float:
-    """Seconds to move the ledger's bits at the configured data rate."""
-    cfg = cfg if cfg is not None else CommConfig()
-    return ledger.total_bits() / cfg.data_rate
+def comm_time(ledger: CommLedger, data_rate: float = DEFAULT_DATA_RATE) -> float:
+    """Seconds to move the ledger's bits at ``data_rate`` bits per second."""
+    return ledger.total_bits() / check_data_rate(data_rate)
 
 
 def speedup(baseline_seconds: float, variant_seconds: float, comm_seconds: float) -> float:

@@ -102,23 +102,21 @@ def detect_conflicts_in_partition(
 ) -> ConflictReport:
     """Vertex, goal-stay and swap conflicts among one partition's segments.
 
-    ``horizon`` caps the goal-stay extension and should be the latest arrival
-    time over the iteration's candidate paths. Boundary moves (entry/exit of
-    a segment) participate in swap detection here and in the neighboring
-    partition alike; set semantics dedupe the double sighting downstream.
+    A path's last segment parks on its final cell up to ``horizon`` (the
+    latest arrival over the round's paths), as ``validate_solution`` has it,
+    so the vertex pass finds goal-stay conflicts too. Boundary moves (entry/exit
+    of a segment) join swap detection here and in the neighboring partition
+    alike; set semantics dedupe the double sighting downstream.
     """
     pairs: set[tuple[int, int]] = set()
     occupancy: dict[TimedState, list[int]] = {}
-    cell_visits: dict[Coord, list[tuple[int, int]]] = {}
     moves: dict[tuple[int, int, int, int, int], list[int]] = {}
-    enders: dict[Coord, list[tuple[int, int]]] = {}
 
     for seg in segments:
         a = seg.agent
         sts = seg.states
         for st in sts:
             occupancy.setdefault(st, []).append(a)
-            cell_visits.setdefault(st[:2], []).append((st[2], a))
         for (x0, y0, t0), (x1, y1, _) in zip(sts, sts[1:]):
             if (x0, y0) != (x1, y1):
                 moves.setdefault((x0, y0, x1, y1, t0), []).append(a)
@@ -126,28 +124,19 @@ def detect_conflicts_in_partition(
             px, py, pt = seg.prev_state
             x0, y0, _ = sts[0]
             moves.setdefault((px, py, x0, y0, pt), []).append(a)
+        x1, y1, t1 = sts[-1]
         if seg.next_state is not None:
             nx, ny, _ = seg.next_state
-            x1, y1, t1 = sts[-1]
             moves.setdefault((x1, y1, nx, ny, t1), []).append(a)
         else:
-            x1, y1, t1 = sts[-1]
-            enders.setdefault((x1, y1), []).append((t1, a))
+            for t in range(t1 + 1, horizon + 1):
+                occupancy.setdefault((x1, y1, t), []).append(a)
 
     for agents in occupancy.values():
         if len(agents) > 1:
             for a, b in itertools.combinations(agents, 2):
                 if a != b:
                     pairs.add(_pair(a, b))
-    for cell, stays in enders.items():
-        visits = cell_visits.get(cell, ())
-        for t_arr, a in stays:
-            for t, b in visits:
-                if b != a and t_arr < t <= horizon:
-                    pairs.add(_pair(a, b))
-        for (_, a), (_, b) in itertools.combinations(stays, 2):
-            if a != b:
-                pairs.add(_pair(a, b))  # two parked agents share the cell forever
     for (x0, y0, x1, y1, t), agents in moves.items():
         rev = moves.get((x1, y1, x0, y0, t))
         if rev:

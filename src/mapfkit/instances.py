@@ -87,7 +87,9 @@ def generate_instance(grid: GridMap, n_agents: int, seed=None) -> ProblemInstanc
 def write_scenario(instance: ProblemInstance, map_name: str = "map") -> str:
     """Render an instance in MovingAI ``.scen`` column layout: bucket, map,
     map width, map height, start x, start y, goal x, goal y, optimal-length
-    placeholder."""
+    placeholder. A map name ``read_scenario`` cannot split out raises ValueError."""
+    if not map_name or any(ch.isspace() for ch in map_name):
+        raise ValueError(f"map name {map_name!r} must be nonempty and hold no whitespace")
     lines = ["version 1"]
     w, h = instance.grid.width, instance.grid.height
     for (sx, sy), (gx, gy) in instance.agents:

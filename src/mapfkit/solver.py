@@ -116,16 +116,17 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class Solution:
-    """Per-agent paths with the two standard cost totals."""
+    """Per-agent paths; the two standard cost totals are read off them."""
 
     paths: dict[int, TimedPath]
-    sum_of_costs: int
-    makespan: int
 
-    @classmethod
-    def from_paths(cls, paths: dict[int, TimedPath]) -> "Solution":
-        costs = [p.cost for p in paths.values()]
-        return cls(dict(paths), sum(costs), max(costs) if costs else 0)
+    @property
+    def sum_of_costs(self) -> int:
+        return sum(p.cost for p in self.paths.values())
+
+    @property
+    def makespan(self) -> int:
+        return max((p.cost for p in self.paths.values()), default=0)
 
 
 @dataclass
@@ -154,9 +155,10 @@ class IterationRecord:
 
 @dataclass
 class SolveTrace:
+    """The variant's rounds and bits; callers time ``solve_variant`` themselves."""
+
     iterations: list[IterationRecord] = field(default_factory=list)
     ledger: CommLedger = field(default_factory=CommLedger)
-    wall_seconds: float = 0.0
 
     @property
     def n_iterations(self) -> int:
@@ -245,7 +247,7 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Soluti
         path = _plan(instance, agent, rt, deadline, timeout)
         rt.insert_path(path)
         paths[agent] = path
-    return Solution.from_paths(paths)
+    return Solution(paths)
 
 
 def solve_variant(
@@ -272,7 +274,7 @@ def solve_variant(
     map_side = max(grid.width, grid.height)
     trace = SolveTrace()
     if n == 0:
-        return Solution.from_paths({}), trace
+        return Solution({}), trace
 
     part = Partitioning.for_map(grid, n)
     grid.neighbor_table  # build it now, outside the first agent's timed search
@@ -281,7 +283,6 @@ def solve_variant(
     heuristics = [ReverseResumableAStar(grid, goal) for _, goal in instance.agents]
     pending = list(range(n))
     fixed: dict[int, TimedPath] = {}
-    wall0 = time.perf_counter()
     while pending:
         search_seconds: dict[int, float] = {}
         candidates: dict[int, TimedPath] = {}
@@ -326,5 +327,4 @@ def solve_variant(
     trace.ledger.rt_bits = reservation_table_bits(
         [fixed[i].cost for i in range(n)], n, map_side
     )
-    trace.wall_seconds = time.perf_counter() - wall0
-    return Solution.from_paths(fixed), trace
+    return Solution(fixed), trace

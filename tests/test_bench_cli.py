@@ -215,6 +215,19 @@ class TestCli:
         assert out.exists() and map_out.exists()
         assert "seed: 5" in meta.read_text()
 
+    def test_gen_instance_rejects_map_name_with_space(self, tmp_path, capsys):
+        out = tmp_path / "d.scen"
+        map_out = tmp_path / "my map.map"
+        code = main(
+            [
+                "gen-instance", "--agents", "4", "--seed", "1", "--width", "10", "--height", "10",
+                "--out", str(out), "--map-out", str(map_out),
+            ]
+        )
+        assert code == 1
+        assert "error: map name 'my map.map'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_solve_hca_and_validate(self, tmp_path, instance_files, capsys):
         map_path, scen_path = instance_files
         paths_out = tmp_path / "paths.txt"
@@ -344,6 +357,23 @@ class TestCli:
         assert main(["bench", "--agents", "2", "--instances", "1", "--data-rate", "-1"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and "data rate must be positive" in err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_data_rate_rejected(self, instance_files, capsys, rate):
+        map_path, scen_path = instance_files
+        assert main(
+            ["solve-variant", "--map", str(map_path), "--scen", str(scen_path), "--data-rate", rate]
+        ) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: data rate must be positive and finite" in err
+        assert main(["bench", "--agents", "2", "--instances", "1", "--data-rate", rate]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: data rate must be positive and finite" in err
+
+    def test_negative_instance_count_rejected(self, capsys):
+        assert main(["bench", "--agents", "2", "--instances", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: instance count must be nonnegative" in err
 
     def test_bench_writes_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "r.csv"

@@ -107,6 +107,11 @@ class TestParseEncoded:
         with pytest.raises(CodecError):
             parse_encoded("5 0")
 
+    @pytest.mark.parametrize("text", ["-1 0 0 e", "0 -3 2 r e", "0 3 -2 r e"])
+    def test_negative_header_rejected(self, text):
+        with pytest.raises(CodecError, match="negative header field"):
+            parse_encoded(text)
+
 
 class TestBitAccounting:
     def test_single_segment_from_zero(self):

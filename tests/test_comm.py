@@ -1,7 +1,6 @@
 import pytest
 
 from mapfkit import (
-    CommConfig,
     CommLedger,
     IterationComm,
     SubpathSegment,
@@ -73,21 +72,27 @@ class TestCommTime:
 
     def test_one_second_at_rate(self):
         ledger = CommLedger([IterationComm(0, 8 * 10**7, 0)], rt_bits=0)
-        assert comm_time(ledger, CommConfig(8e7)) == 1.0
+        assert comm_time(ledger, 8e7) == 1.0
 
     def test_linear_in_rate(self):
         ledger = CommLedger(
             [IterationComm(100, 2000, 300), IterationComm(50, 1500, 0)], rt_bits=700
         )
-        t1 = comm_time(ledger, CommConfig(1e6))
-        t2 = comm_time(ledger, CommConfig(2e6))
+        t1 = comm_time(ledger, 1e6)
+        t2 = comm_time(ledger, 2e6)
         assert t1 == 2 * t2
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        ledger = CommLedger([IterationComm(128, 1000, 24)], rt_bits=500)
+        with pytest.raises(ValueError, match="data rate must be positive and finite"):
+            comm_time(ledger, rate)
 
     def test_source_goal_toggle(self):
         # the source/goal broadcast always counts toward the total
         ledger = CommLedger([IterationComm(128, 1000, 24)], rt_bits=500)
         assert ledger.total_bits() == 128 + 1000 + 24 + 500
-        assert comm_time(ledger, CommConfig(1.0)) == 128 + 1000 + 24 + 500
+        assert comm_time(ledger, 1.0) == 128 + 1000 + 24 + 500
 
     def test_additivity_under_reordering(self):
         entries = [IterationComm(10, 20, 30), IterationComm(1, 2, 3), IterationComm(7, 0, 5)]
@@ -118,4 +123,4 @@ class TestSpeedup:
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            CommConfig(0.0)
+            comm_time(CommLedger(), 0.0)

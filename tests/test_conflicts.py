@@ -108,6 +108,17 @@ class TestDetectConflicts:
         )
         assert report.pairs == frozenset()  # visit at t=3 lies past the cap
 
+    def test_parked_agents_respect_horizon(self):
+        grid = GridMap(10, 10)
+        part = Partitioning.for_map(grid, 1)
+        a = straight_path(0, [(0, 3), (1, 3), (2, 3), (3, 3)])  # parks on (3, 3) at t=3
+        b = straight_path(1, [(3, 7), (3, 6), (3, 5), (3, 4), (3, 3)])  # parks there at t=4
+        segs = split_path(a, part, grid) + split_path(b, part, grid)
+        for horizon, expected in ((2, set()), (4, {(0, 1)})):
+            report = detect_conflicts_in_partition(segs, horizon=horizon)
+            assert report.pairs == expected
+            assert report.pairs == brute_conflict_pairs([a, b], horizon)
+
     def test_boundary_swap_is_caught(self):
         grid = GridMap(12, 12)
         part = Partitioning.for_map(grid, 4)  # boundary between x=5 and x=6

@@ -85,6 +85,12 @@ class TestScenarioIO:
         again = read_scenario(text, grid)
         assert again.agents == inst.agents
 
+    @pytest.mark.parametrize("name", ["my map.map", "tab\tmap.map", ""])
+    def test_map_name_read_scenario_cannot_split_rejected(self, name):
+        inst = generate_instance(GridMap(6, 6), 1, seed=1)
+        with pytest.raises(ValueError, match="map name"):
+            write_scenario(inst, name)
+
     def test_column_layout(self):
         grid = GridMap(9, 7)
         inst = generate_instance(grid, 1, seed=1)
