@@ -25,6 +25,13 @@ from .instances import GenerationError, generate_instance
 from .solver import ProblemInstance, SolveFailure, solve_hca, solve_variant
 
 
+def check_timeout(timeout: float) -> None:
+    """ValueError unless a configured budget in seconds is positive. A NaN
+    budget is rejected: every deadline comparison would pass it."""
+    if not timeout > 0:
+        raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
+
+
 @dataclass
 class BenchmarkRecord:
     """One paired solve. Ratio fields are None unless both planners
@@ -164,6 +171,7 @@ class BenchConfig:
         if self.n_instances < 0:
             raise ValueError(f"instance count must be nonnegative, got {self.n_instances}")
         check_data_rate(self.data_rate)
+        check_timeout(self.timeout)
 
 
 @dataclass(frozen=True)

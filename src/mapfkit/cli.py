@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchConfig, emit_csv, emit_plot_data, run_benchmark
+from .bench import BenchConfig, check_timeout, emit_csv, emit_plot_data, run_benchmark
 from .comm import DEFAULT_DATA_RATE, check_data_rate, comm_time
 from .conflicts import validate_solution
 from .grid import GridMap, MapFormatError, generate_random_map, parse_movingai_map, serialize_movingai_map
@@ -113,6 +113,7 @@ def _cmd_solve_hca(args) -> int:
         order = [int(v) for v in args.order.split(",")]
     else:
         order = [int(a) for a in np.random.default_rng(args.order_seed).permutation(instance.n_agents)]
+    check_timeout(args.timeout)
     try:
         solution = solve_hca(instance, order, args.timeout)
     except SolveFailure as exc:
@@ -126,7 +127,8 @@ def _cmd_solve_hca(args) -> int:
 
 def _cmd_solve_variant(args) -> int:
     _, instance = _load_instance(args.map, args.scen)
-    check_data_rate(args.data_rate)  # rejects a bad rate before solving
+    check_data_rate(args.data_rate)  # rejects a bad rate or budget before solving
+    check_timeout(args.timeout)
     try:
         solution, trace = solve_variant(instance, args.timeout)
     except SolveFailure as exc:

@@ -310,6 +310,14 @@ def space_time_astar(
     t, y, x), and a state's parent is fixed when the state is first
     generated, so results are reproducible.
 
+    Heuristic: ``h(c, t) = max(d(c), clear - t)``, where ``d`` is the exact
+    static distance to the goal (``heuristic``, built here when omitted)
+    and ``clear`` is ``rt.goal_clear_time(goal)``. It is admissible, since
+    the path needs ``d(c)`` more steps and no arrival before ``clear`` is
+    accepted, and consistent, since each step or wait lowers either term by
+    at most 1. So ``f = max(t + d(c), clear)``, and a goal that is busy
+    until late costs no search over every state that could wait for it.
+
     Static tail: after ``rt.last_time`` no vertex or edge reservation is
     left, only goal stays, and those last forever. There a cell reached at
     time t beats the same cell reached later, and a wait never helps: the
@@ -365,8 +373,7 @@ def space_time_astar(
     # state's parent is stored as its cell; its time is one less.
     last = rt.last_time
     span = last + area + 1
-    g_step = (span - 1) * area  # key change for t + 1 at f + 1, as on a wait
-    h_step = span * area  # key change per unit of h
+    h_step = span * area  # key change per unit of f
     vertices = rt.vertices
     edges = rt.edges
     stays = rt.goal_stays
@@ -375,7 +382,7 @@ def space_time_astar(
     settle = h._distance
     heappush, heappop = heapq.heappush, heapq.heappop
     parent: dict[int, int] = {start_id: -1}
-    heap = [h_start * h_step + start_id]
+    heap = [max(h_start, clear) * h_step + start_id]
     # First time each cell was generated in the static tail, built on the
     # first expansion into the tail: most searches against a busy table
     # never get there.
@@ -401,12 +408,14 @@ def space_time_astar(
             return TimedPath(agent, tuple(states))
         nt = t + 1
         base = nt * area
-        g_part = nt * g_step
         if nt <= last:
+            # below ``clear`` a wait need not raise f, so its key is
+            # computed afresh, as a move's is
             ws = base + c
             if ws not in parent and ws not in vertices and stays[c] > nt:
                 parent[ws] = c
-                heappush(heap, key + g_step)
+                f = dist[c] + nt
+                heappush(heap, (f if f > clear else clear) * h_step - base + c)
             edge_base = (base - area + c) * area
             for nb in table[c]:
                 ns = base + nb
@@ -418,7 +427,8 @@ def space_time_astar(
                     if hd is None:
                         continue
                 parent[ns] = c
-                heappush(heap, hd * h_step + g_part + nb)
+                f = hd + nt
+                heappush(heap, (f if f > clear else clear) * h_step - base + nb)
         else:
             # Static tail: no waits, no vertex or edge reservations, and a
             # cell is generated only earlier than it ever was before.
@@ -434,7 +444,7 @@ def space_time_astar(
                         continue
                 tail_first[nb] = nt
                 parent[base + nb] = c
-                heappush(heap, hd * h_step + g_part + nb)
+                heappush(heap, (hd + nt) * h_step - base + nb)
     return None
 
 

@@ -12,6 +12,7 @@ goal stays), so their costs are directly comparable.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -40,6 +41,9 @@ from .search import (
     TimedPath,
     space_time_astar,
 )
+
+# Restarts after a SolveFailure, each with the failed agent promoted.
+MAX_RESTARTS = 3
 
 
 class InvalidInstanceError(ValueError):
@@ -155,7 +159,16 @@ class IterationRecord:
 
 @dataclass
 class SolveTrace:
-    """The variant's rounds and bits; callers time ``solve_variant`` themselves."""
+    """The variant's rounds and bits; callers time ``solve_variant`` themselves.
+
+    A restarted solve keeps the rounds of every failed attempt: their
+    searches ran and their bits were sent, so the ideal time and the ledger
+    count them. A restart's round one reuses the first attempt's candidates
+    and graph, so it runs no search and no partition check, and sends
+    nothing that the server does not hold already. Its record has no search
+    or detect seconds, only its own server step, and its ledger entry is
+    ``IterationComm(0, 0, 0)``.
+    """
 
     iterations: list[IterationRecord] = field(default_factory=list)
     ledger: CommLedger = field(default_factory=CommLedger)
@@ -228,19 +241,60 @@ def _plan(
     return path
 
 
+def _check_timeout(timeout: float) -> None:
+    """A budget that every deadline comparison would pass is no budget: a
+    NaN ``timeout`` is rejected. A negative one is a budget already spent."""
+    if math.isnan(timeout):
+        raise ValueError("timeout must be a number of seconds, got nan")
+
+
+def _with_restarts(attempt, promoted: list[int]):
+    """Call ``attempt`` until it returns; after each SolveFailure, move the
+    failed agent to the front of ``promoted`` and call it again, at most
+    ``MAX_RESTARTS`` times. SolveTimeout is never retried. When every
+    attempt fails, the first attempt's failure is raised."""
+    first = None
+    for _ in range(MAX_RESTARTS + 1):
+        try:
+            return attempt()
+        except SolveTimeout:
+            raise
+        except SolveFailure as exc:
+            # without its traceback, the failure does not keep the failed
+            # attempt's frames, and their reservation table, alive
+            first = first or exc.with_traceback(None)
+            if exc.agent in promoted:
+                promoted.remove(exc.agent)
+            promoted.insert(0, exc.agent)
+    raise first
+
+
 def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Solution:
     """Prioritized planning: plan agents one at a time in ``order``, each
     against the reservations of its predecessors.
 
-    Incomplete by nature: raises SolveFailure naming the first agent whose
-    search comes back empty. The budget is checked before each search and
-    inside it: once ``timeout`` seconds have passed, SolveTimeout names the
-    agent about to be searched, or the one whose search was cut.
+    Incomplete by nature. ``order`` is the first attempt's order. When an
+    agent's search comes back empty, the solve restarts from an empty table
+    with that agent moved to the front (Andreychuk & Yakovlev, AAMAS 2018),
+    at most ``MAX_RESTARTS`` times; if every attempt fails, SolveFailure
+    names the first agent that failed under ``order``. One budget covers
+    every attempt, and it is checked before each search and inside it: once
+    ``timeout`` seconds have passed, SolveTimeout names the agent about to
+    be searched, or the one whose search was cut. A NaN ``timeout`` raises
+    ValueError.
     """
     order = [int(a) for a in order]
     if sorted(order) != list(range(instance.n_agents)):
         raise ValueError("order must be a permutation of agent ids")
+    _check_timeout(timeout)
     deadline = time.perf_counter() + timeout
+    return _with_restarts(lambda: _hca_attempt(instance, order, deadline, timeout), order)
+
+
+def _hca_attempt(
+    instance: ProblemInstance, order: list[int], deadline: float, timeout: float
+) -> Solution:
+    """One attempt of ``solve_hca``, from an empty table."""
     rt = ReservationTable(instance.grid)
     paths: dict[int, TimedPath] = {}
     for agent in order:
@@ -248,6 +302,26 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Soluti
         rt.insert_path(path)
         paths[agent] = path
     return Solution(paths)
+
+
+def _round_choice(ig: IntersectionGraph, promoted: list[int]) -> set[int]:
+    """The agents a round fixes. The pending agents of ``promoted`` come
+    first, newest first, each while it stays independent of those already
+    taken; then ``independent_set`` runs on the pending agents that are
+    neither taken nor adjacent to one taken."""
+    if not promoted:
+        return independent_set(ig)
+    adj = ig.adjacency()
+    chosen: set[int] = set()
+    for a in promoted:
+        if a in adj and not adj[a] & chosen:
+            chosen.add(a)
+    blocked = chosen.union(*(adj[a] for a in chosen))
+    rest = IntersectionGraph(
+        tuple(a for a in ig.nodes if a not in blocked),
+        frozenset(e for e in ig.edges if blocked.isdisjoint(e)),
+    )
+    return chosen | independent_set(rest)
 
 
 def solve_variant(
@@ -261,49 +335,80 @@ def solve_variant(
     agent and checks each partition, an independent set of the merged collision
     graph is fixed into the reservation table, and the remaining agents replan.
     At least one agent is fixed per round, so at most ``n_agents`` rounds run.
-    The first failed search raises SolveFailure naming its agent. The budget is
-    checked before each search and inside it, as in ``solve_hca``: SolveTimeout
+
+    A failed search ends the attempt, and the solve restarts from an empty
+    table, at most ``MAX_RESTARTS`` times, with the failed agents promoted
+    (see ``_round_choice``). A restart reuses the first attempt's round one,
+    which started from an empty table too (see ``SolveTrace``). If every
+    attempt fails, SolveFailure names the agent that failed first. One
+    budget covers every attempt, checked as in ``solve_hca``: SolveTimeout
     names the agent about to be searched, or the one whose search was cut.
+    A NaN ``timeout`` raises ValueError.
 
     The searches and partition checks of a round are independent, so the
     round's ideal parallel latency is built from their times. They run one
     after another, each timed on its own with nothing contending.
     """
+    _check_timeout(timeout)
+    grid = instance.grid
+    trace = SolveTrace()
+    if instance.n_agents == 0:
+        return Solution({}), trace
+
+    part = Partitioning.for_map(grid, instance.n_agents)
+    grid.neighbor_table  # build it now, outside the first agent's timed search
+    deadline = time.perf_counter() + timeout
+    heuristics = [ReverseResumableAStar(grid, goal) for _, goal in instance.agents]
+    promoted: list[int] = []
+    solution = _with_restarts(
+        lambda: _variant_attempt(instance, part, heuristics, promoted, trace, deadline, timeout),
+        promoted,
+    )
+    return solution, trace
+
+
+def _variant_attempt(
+    instance: ProblemInstance, part: Partitioning, heuristics: list[ReverseResumableAStar],
+    promoted: list[int], trace: SolveTrace, deadline: float, timeout: float,
+) -> Solution:
+    """One attempt of ``solve_variant``, from an empty table; its rounds are
+    appended to ``trace``, whose first round, if any, is reused."""
     grid = instance.grid
     n = instance.n_agents
     map_side = max(grid.width, grid.height)
-    trace = SolveTrace()
-    if n == 0:
-        return Solution({}), trace
-
-    part = Partitioning.for_map(grid, n)
-    grid.neighbor_table  # build it now, outside the first agent's timed search
-    deadline = time.perf_counter() + timeout
     rt = ReservationTable(grid)
-    heuristics = [ReverseResumableAStar(grid, goal) for _, goal in instance.agents]
     pending = list(range(n))
     fixed: dict[int, TimedPath] = {}
     while pending:
         search_seconds: dict[int, float] = {}
-        candidates: dict[int, TimedPath] = {}
-        for agent in pending:
-            t0 = time.perf_counter()
-            candidates[agent] = _plan(instance, agent, rt, deadline, timeout, heuristics[agent])
-            search_seconds[agent] = time.perf_counter() - t0
+        if trace.iterations and not fixed:
+            # a restart's round one: the first attempt's candidates and graph
+            first = trace.iterations[0]
+            candidates, ig = first.candidate_paths, first.ig
+            pair_counts = first.partition_pair_counts
+            detect_seconds: dict[int, float] = {}
+            comm_entry = IterationComm(0, 0, 0)
+            server0 = time.perf_counter()
+        else:
+            candidates = {}
+            for agent in pending:
+                t0 = time.perf_counter()
+                candidates[agent] = _plan(instance, agent, rt, deadline, timeout, heuristics[agent])
+                search_seconds[agent] = time.perf_counter() - t0
 
-        segments_by_agent, reports, detect_seconds = partition_conflict_reports(
-            candidates.values(), part, grid
-        )
+            segments_by_agent, reports, detect_seconds = partition_conflict_reports(
+                candidates.values(), part, grid
+            )
 
-        server0 = time.perf_counter()
-        pair_counts = {pid: r.count for pid, r in reports.items()}
-        ig = _merge(pending, reports)
-        chosen = tuple(sorted(independent_set(ig)))
-        comm_entry = IterationComm(
-            source_goal_bits=source_goal_bits(len(pending), map_side),
-            path_bits=iteration_path_bits(segments_by_agent.values(), n, map_side),
-            ig_bits=intersection_graph_bits(pair_counts.values(), n),
-        )
+            server0 = time.perf_counter()
+            pair_counts = {pid: r.count for pid, r in reports.items()}
+            ig = _merge(pending, reports)
+            comm_entry = IterationComm(
+                source_goal_bits=source_goal_bits(len(pending), map_side),
+                path_bits=iteration_path_bits(segments_by_agent.values(), n, map_side),
+                ig_bits=intersection_graph_bits(pair_counts.values(), n),
+            )
+        chosen = tuple(sorted(_round_choice(ig, promoted)))
         for a in chosen:
             rt.insert_path(candidates[a])
             fixed[a] = candidates[a]
@@ -327,4 +432,4 @@ def solve_variant(
     trace.ledger.rt_bits = reservation_table_bits(
         [fixed[i].cost for i in range(n)], n, map_side
     )
-    return Solution(fixed), trace
+    return Solution(fixed)

@@ -104,6 +104,11 @@ class TestRunBenchmark:
         assert summary.successes == 4 and summary.failures == 0
         assert "sum_of_costs_ratio" in summary.columns
 
+    @pytest.mark.parametrize("timeout", [float("nan"), 0.0, -1.0])
+    def test_bad_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be a positive number"):
+            BenchConfig(n_agents=1, n_instances=1, timeout=timeout)
+
     def test_single_agent_ratios_exactly_one(self):
         cfg = BenchConfig(n_agents=1, n_instances=1, seed=0, width=10, height=10)
         records, summary = run_benchmark(cfg)
@@ -369,6 +374,21 @@ class TestCli:
         assert main(["bench", "--agents", "2", "--instances", "1", "--data-rate", rate]) == 1
         out, err = capsys.readouterr()
         assert out == "" and "error: data rate must be positive and finite" in err
+
+    @pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+    def test_bad_timeout_rejected_before_solving(self, instance_files, capsys, timeout):
+        # a NaN budget never runs out, and one at or below 0 is spent before
+        # the first search: each is a configuration error, not a failed solve
+        map_path, scen_path = instance_files
+        files = ["--map", str(map_path), "--scen", str(scen_path)]
+        for argv in (
+            ["solve-hca", *files, "--timeout", timeout],
+            ["solve-variant", *files, "--timeout", timeout],
+            ["bench", "--agents", "2", "--instances", "1", "--timeout", timeout],
+        ):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and "error: timeout must be a positive number of seconds" in err
 
     def test_negative_instance_count_rejected(self, capsys):
         assert main(["bench", "--agents", "2", "--instances", "-1"]) == 1

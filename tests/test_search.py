@@ -282,20 +282,35 @@ class TestSpaceTimeAstar:
         assert h.expanded == 0
 
     def test_past_deadline_cuts_a_long_search(self):
-        # agent 1 crosses the map; the goal is a cell it passes late, so the
-        # search floods every state that can wait out the crossing, far more
-        # than one check interval of pops
+        # a wall column splits the map, and agent 1 holds its one gap until
+        # t=400, then steps out and parks aside; the search floods every
+        # state left of the wall that can wait for the gap, far more than
+        # one check interval of pops
+        grid = GridMap(60, 60, frozenset((30, y) for y in range(60) if y != 30))
+        rt = ReservationTable(grid)
+        held = tuple((30, 30, t) for t in range(401)) + ((31, 30, 401), (31, 31, 402))
+        rt.insert_path(TimedPath(1, held))
+        with pytest.raises(TimeoutError):
+            space_time_astar(grid, (0, 0), (59, 59), rt, deadline=time.perf_counter() - 1.0)
+        path = space_time_astar(grid, (0, 0), (59, 59), rt, deadline=time.perf_counter() + 60)
+        assert path.arrival_time == 401 + 1 + 57  # into the gap at 401, then the free walk
+        assert rt.path_conflict(path) is None
+
+    def test_goal_busy_until_late_is_no_flood(self):
+        # agent 1 crosses the map, and the goal is a cell it passes late.
+        # Bounded by the goal's clear time, the heuristic sends the search
+        # straight to the goal: it pops fewer states than one check
+        # interval, so a deadline already past is never read
         grid = GridMap(30, 30)
         rt = ReservationTable(grid)
         route = space_time_astar(grid, (0, 0), (29, 29), rt, agent=1)
         rt.insert_path(route)
         x, y, _ = route.states[3 * len(route.states) // 4]
         start = grid.neighbors4((x, y))[0]
-        with pytest.raises(TimeoutError):
-            space_time_astar(grid, start, (x, y), rt, deadline=time.perf_counter() - 1.0)
-        path = space_time_astar(grid, start, (x, y), rt)
-        assert path is not None
-        assert space_time_astar(grid, start, (x, y), rt, deadline=time.perf_counter() + 60) == path
+        path = space_time_astar(grid, start, (x, y), rt, deadline=time.perf_counter() - 1.0)
+        horizon = rt.last_time + grid.width * grid.height
+        assert path.arrival_time == time_expanded_shortest(grid, start, (x, y), [route], 0, horizon)
+        assert rt.path_conflict(path) is None
 
     def test_reservation_queries_match_fixed_path_oracle(self):
         # insert two crossing candidate paths, then probe every state and

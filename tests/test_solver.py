@@ -1,4 +1,8 @@
+import importlib.util
+import sys
 import time
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +10,10 @@ import pytest
 from mapfkit import (
     GridMap,
     InvalidInstanceError,
+    IterationComm,
     Partitioning,
     ProblemInstance,
+    ReservationTable,
     SolveFailure,
     SolveTimeout,
     TimedPath,
@@ -38,23 +44,39 @@ def crossing_pairs_instance():
     return ProblemInstance(grid, agents)
 
 
-def walled_gap_instance(width):
-    """A wall column splits a ``width`` x ``width`` map. Agent 0 starts and
-    parks in its one gap, so agent 1 cannot cross from the far corner."""
+def walled_map(width):
+    """A ``width`` x ``width`` map split by a wall column with one gap, at
+    ``(width // 2, width // 2)``."""
     mid = width // 2
-    grid = GridMap(width, width, frozenset((mid, y) for y in range(width) if y != mid))
-    return ProblemInstance(grid, (((mid, mid), (mid, mid)), ((0, 0), (width - 1, width - 1))))
+    return GridMap(width, width, frozenset((mid, y) for y in range(width) if y != mid))
 
 
-def goal_clear_flood_instance():
-    """Agent 0 crosses an open 100x100 map corner to corner. Agent 1 starts
-    next to the cell agent 0 occupies three quarters of the way along, and
-    has that cell as its goal, so it may park there only after agent 0 has
-    passed: a long search that static-tail dominance does not shorten."""
-    grid = GridMap(100, 100)
-    route = space_time_astar(grid, (0, 0), (99, 99))
-    x, y, _ = route.states[3 * len(route.states) // 4]
-    return ProblemInstance(grid, (((0, 0), (99, 99)), (grid.neighbors4((x, y))[0], (x, y))))
+def walled_gap_instance(width):
+    """Agent 0 starts and parks in the gap of ``walled_map(width)``, so
+    under the order ``[0, 1]`` agent 1 cannot cross from the far corner."""
+    mid = width // 2
+    return ProblemInstance(
+        walled_map(width), (((mid, mid), (mid, mid)), ((0, 0), (width - 1, width - 1)))
+    )
+
+
+def late_gap_instance():
+    """On ``walled_map(80)`` agent 0 walks from the far corner into the gap
+    and parks there at t=78, too early for agent 1 to cross from (0, 0) to
+    (79, 0). Agent 1's search, planned after agent 0's, floods every state
+    left of the wall that can still reach the gap in time: a long search
+    that neither the goal-clear bound nor the static tail shortens."""
+    return ProblemInstance(walled_map(80), (((79, 79), (40, 40)), ((0, 0), (79, 0))))
+
+
+def check_wire(solution, trace, instance):
+    """The benchmark's wire check (``perfbench/solving.py``): every final
+    path packs and decodes intact, and the bits match ``rt_bits``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "solving.py"
+    spec = importlib.util.spec_from_file_location("perfbench_solving", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module.check_wire(solution, trace, instance)
 
 
 class TestProblemInstance:
@@ -152,6 +174,22 @@ class TestSolveHca:
         inst = crossing_pairs_instance()
         with pytest.raises(SolveTimeout):
             solve_hca(inst, [0, 1, 2, 3], timeout=-1.0)
+
+    def test_restart_promotes_the_failed_agent(self, monkeypatch):
+        # under [0, 1] agent 0 parks in the gap and seals agent 1 off; the
+        # restart plans agent 1 first, and agent 0 parks after it has passed
+        searched = []
+        search = mapfkit.solver.space_time_astar
+
+        def counted(*args, **kwargs):
+            searched.append(kwargs["agent"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(mapfkit.solver, "space_time_astar", counted)
+        inst = walled_gap_instance(50)
+        solution = solve_hca(inst, [0, 1])
+        assert searched == [0, 1, 1, 0]
+        assert validate_solution(solution.paths, inst.grid, dict(enumerate(inst.agents))) == []
 
     def test_every_order_valid_on_crossing_instance(self):
         import itertools
@@ -309,22 +347,58 @@ class TestSolveVariant:
         monkeypatch.setattr(mapfkit.solver, "space_time_astar", counted)
         with pytest.raises(SolveFailure) as exc:
             solve_variant(inst)
-        assert exc.value.agent == 1
-        assert searched == [0, 1, 2, 3, 1]  # agent 3 is not searched again
+        assert exc.value.agent == 1  # the first attempt's failure
+        assert searched[:5] == [0, 1, 2, 3, 1]  # agent 3 is not searched again
+        # each restart reuses round one, which fixes the newer failed one of
+        # agents 0 and 1, and agent 2; it searches only the other one of
+        # agents 0 and 1, which round two traps
+        assert searched[5:] == [0, 1, 0]
+
+    def test_restart_frees_the_failed_attempt(self, monkeypatch):
+        # the failure kept for re-raising holds no traceback, so nothing
+        # keeps the failed attempt's table alive while the restart runs
+        tables = []
+        alive_at_build = []
+        base = mapfkit.solver.ReservationTable
+
+        class Table(base):
+            def __init__(self, grid):
+                alive_at_build.append(sum(ref() is not None for ref in tables))
+                super().__init__(grid)
+                tables.append(weakref.ref(self))
+
+        monkeypatch.setattr(mapfkit.solver, "ReservationTable", Table)
+        solve_hca(walled_gap_instance(50), [0, 1])
+        solve_variant(late_gap_instance())
+        assert alive_at_build == [0, 0, 0, 0]
+
+    def test_restart_reuses_round_one(self):
+        inst = late_gap_instance()
+        solution, trace = solve_variant(inst)
+        assert validate_solution(solution.paths, inst.grid, dict(enumerate(inst.agents))) == []
+        assert check_wire(solution, trace, inst) == []
+        # round one fixes agent 0 and agent 1's replan fails, which ends the
+        # first attempt; the restart fixes agent 1 first
+        assert [r.independent for r in trace.iterations] == [(0,), (1,), (0,)]
+        first, again = trace.iterations[0], trace.iterations[1]
+        assert again.search_seconds == {} and again.detect_seconds == {}
+        assert again.candidate_paths == first.candidate_paths
+        assert trace.ledger.iterations[1] == IterationComm(0, 0, 0)
+        assert trace.ledger.iterations[0].path_bits > 0
 
 
 class TestBoundedSearch:
     def test_walled_gap_fails_fast(self):
+        # agent 0 parks in the only gap: agent 1's sealed search ends fast
         inst = walled_gap_instance(50)
-        for solve in (lambda: solve_hca(inst, [0, 1]), lambda: solve_variant(inst)):
-            t0 = time.perf_counter()
-            with pytest.raises(SolveFailure) as exc:
-                solve()
-            assert time.perf_counter() - t0 < 0.5
-            assert type(exc.value) is SolveFailure and exc.value.agent == 1
+        rt = ReservationTable(inst.grid)
+        rt.insert_path(TimedPath(0, ((25, 25, 0),)))
+        t0 = time.perf_counter()
+        assert space_time_astar(inst.grid, (0, 0), (49, 49), rt, agent=1) is None
+        assert time.perf_counter() - t0 < 0.5
 
     def test_timeout_cuts_a_long_search(self):
-        inst = goal_clear_flood_instance()
+        inst = late_gap_instance()
         for solve in (
             lambda: solve_hca(inst, [0, 1], timeout=0.1),
             lambda: solve_variant(inst, timeout=0.1),
@@ -363,3 +437,23 @@ class TestBoundedSearch:
         with pytest.raises(SolveTimeout) as exc:
             solve_variant(inst, timeout=-1.0)
         assert exc.value.agent == 0
+
+    def test_nan_timeout_rejected_before_any_search(self, monkeypatch):
+        # every comparison with a NaN deadline is false, so a NaN budget
+        # would never run out
+        searched = []
+        search = mapfkit.solver.space_time_astar
+
+        def counted(*args, **kwargs):
+            searched.append(kwargs["agent"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(mapfkit.solver, "space_time_astar", counted)
+        inst = crossing_pairs_instance()
+        for solve in (
+            lambda: solve_hca(inst, [0, 1, 2, 3], timeout=float("nan")),
+            lambda: solve_variant(inst, timeout=float("nan")),
+        ):
+            with pytest.raises(ValueError, match="nan"):
+                solve()
+        assert searched == []
