@@ -34,8 +34,9 @@ print("into a parked agent's cell:", blocked)
 
 # (4) The heuristic is an exact static distance, computed lazily by one
 #     backward A* from the goal, aimed at the first cell asked about (the
-#     agent's start). Its heap persists: a later miss resumes that same
-#     search until the asked cell settles, and settled cells are lookups.
+#     agent's start). Its open lists persist: a later miss resumes that
+#     same search until the asked cell settles, and settled cells are
+#     lookups.
 h = ReverseResumableAStar(grid, (6, 1))
 d1 = h.distance((0, 1))
 settled_after_first = h.expanded

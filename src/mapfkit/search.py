@@ -212,12 +212,19 @@ class ReverseResumableAStar:
 
     One backward A* runs from the goal toward the first cell it is asked
     about; every caller asks about the searching agent's start first. Its
-    heap and best-g list persist across queries: a query for a settled cell
-    is a list lookup, and a miss resumes the same heap until the queried
-    cell settles or the reachable region is exhausted. Manhattan distance
-    to the fixed target is consistent, so each cell settles at most once
-    and with its exact distance; that makes this an admissible and
-    consistent space-time heuristic.
+    open lists and best-g list persist across queries: a query for a
+    settled cell is a list lookup, and a miss resumes the same search until
+    the queried cell settles or the reachable region is exhausted.
+
+    The open cells sit in two lists, ``now`` at the current f and ``next``
+    at f + 2 (Dial, CACM 1969): on a 4-grid each step changes the Manhattan
+    distance to the fixed target by exactly 1, so a neighbour's f equals
+    its parent's or exceeds it by 2, and no other level is ever needed.
+    That heuristic is consistent, so a cell popped at the lowest open level
+    holds its exact distance whatever the order among cells of that level;
+    the tie order decides only which extra cells settle before the queried
+    one. Each cell settles at most once, and the distances make an
+    admissible and consistent space-time heuristic.
 
     ``dist`` is indexed by flat cell id ``y * width + x`` and holds the
     distance of every settled cell, -1 for the rest.
@@ -235,7 +242,10 @@ class ReverseResumableAStar:
         # settled cell's best g is exact, so no later relaxation beats it.
         self._best = [area] * area
         self._best[self._goal_id] = 0
-        self._heap: list[int] = []  # keyed to _target
+        # open cells at f and at f + 2, f keyed to _target
+        self._now: list[int] = []
+        self._next: list[int] = []
+        self._f = 0
         self._target: tuple[int, int] | None = None
 
     @property
@@ -258,37 +268,43 @@ class ReverseResumableAStar:
             return hit
         grid = self.grid
         w = grid.width
-        area = len(dist)
-        heap = self._heap
         if self._target is None:
             ty, tx = divmod(cell, w)
             self._target = (tx, ty)
-            heap.append(manhattan(self.goal, self._target) * area * area + self._goal_id)
+            self._f = manhattan(self.goal, self._target)
+            self._now.append(self._goal_id)
         tx, ty = self._target
         table = grid.neighbor_table
         best = self._best
-        heappush, heappop = heapq.heappush, heapq.heappop
-        # A heap entry is the int ``(f * area + g) * area + c``; both g and c
-        # are below ``area``, so it orders as (f, g, y, x).
-        f_step = area * area
-        while heap:
-            key = heappop(heap)
-            node = key % area
+        now, later, f = self._now, self._next, self._f
+        found = None
+        while True:
+            if not now:
+                if not later:
+                    break  # the goal's region is used up
+                now, later = later, now
+                f += 2
+            node = now.pop()
             if dist[node] >= 0:
-                continue  # stale entry: a cell's smallest g pops first
-            g = key // area % area
+                continue  # stale entry: the cell settled at a lower f
+            g = best[node]
             dist[node] = g
             # relax neighbors before a possible return: the open cells must
             # always border the settled set or later resumes would miss cells
             ng = g + 1
-            g_part = ng * f_step + ng * area
+            h = f - g  # the node's distance to the target; a neighbour's is h ± 1
             for nb in table[node]:
                 if ng < best[nb]:
                     best[nb] = ng
-                    heappush(heap, (abs(nb % w - tx) + abs(nb // w - ty)) * f_step + g_part + nb)
+                    if abs(nb % w - tx) + abs(nb // w - ty) < h:
+                        now.append(nb)
+                    else:
+                        later.append(nb)
             if node == cell:
-                return g
-        return None
+                found = g
+                break
+        self._now, self._next, self._f = now, later, f
+        return found
 
 
 def space_time_astar(
@@ -452,8 +468,33 @@ def astar_static(grid: GridMap, start: Coord, goal: Coord) -> list[Coord] | None
     """Shortest 4-connected path on the static map as a cell sequence, or
     None when disconnected.
 
-    Runs the space-time search with no reservations, so single-agent plans
-    and first-round candidate paths of the iterated solver are identical.
+    Reads the path off the goal's exact distances: from ``start``, each step
+    goes to the smallest-id neighbour whose distance is one less. That is
+    the path of ``space_time_astar`` with no reservations, which with an
+    exact heuristic pops only the states of that one path, each time the
+    smallest id among the deepest (``tests/test_search.py::
+    TestAstarStatic::test_matches_space_time_search`` pins it). So
+    single-agent plans and first-round candidate paths of the iterated
+    solver are identical. A neighbour not yet settled is asked for its
+    distance, which resumes the backward search.
     """
-    path = space_time_astar(grid, start, goal)
-    return path.cells() if path is not None else None
+    if not grid.is_free(start):
+        raise ValueError(f"start {start} is not a free cell")
+    h = ReverseResumableAStar(grid, goal)
+    c = grid.cell_id(start)
+    d = h._distance(c)
+    if d is None:
+        return None
+    w = grid.width
+    table = grid.neighbor_table
+    dist = h.dist
+    settle = h._distance
+    path = [start]
+    while d:
+        d -= 1
+        # every neighbour of a reachable cell is reachable, so settle
+        # never returns None here
+        c = min(nb for nb in table[c] if (dist[nb] if dist[nb] >= 0 else settle(nb)) == d)
+        y, x = divmod(c, w)
+        path.append((x, y))
+    return path

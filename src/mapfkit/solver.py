@@ -64,6 +64,11 @@ class SolveTimeout(SolveFailure):
     pass
 
 
+class _Unreachable(SolveFailure):
+    """A search failed against an empty reservation table, so no restart
+    can change its outcome."""
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A map plus per-agent (source, goal) pairs, indexed by agent id."""
@@ -221,12 +226,13 @@ def build_intersection_graph(
 
 
 def _plan(
-    instance: ProblemInstance, agent: int, rt: ReservationTable, deadline: float,
-    timeout: float, heuristic: ReverseResumableAStar | None = None,
+    instance: ProblemInstance, agent: int, rt: ReservationTable,
+    heuristic: ReverseResumableAStar, deadline: float, timeout: float,
 ) -> TimedPath:
     """The one step both planners take per agent: its path against ``rt``.
     SolveTimeout or SolveFailure names ``agent`` when ``deadline`` passes,
-    before the search or inside it, or when the search comes back empty."""
+    before the search or inside it, or when the search comes back empty; an
+    empty search against an empty table is final (see ``_with_restarts``)."""
     if time.perf_counter() > deadline:
         raise SolveTimeout(f"timed out after {timeout} s", agent=agent)
     src, dst = instance.agents[agent]
@@ -237,7 +243,8 @@ def _plan(
     except TimeoutError:
         raise SolveTimeout(f"timed out after {timeout} s", agent=agent) from None
     if path is None:
-        raise SolveFailure(f"no feasible path for agent {agent}", agent=agent)
+        failure = _Unreachable if not rt.vertices else SolveFailure
+        raise failure(f"no feasible path for agent {agent}", agent=agent)
     return path
 
 
@@ -251,8 +258,10 @@ def _check_timeout(timeout: float) -> None:
 def _with_restarts(attempt, promoted: list[int]):
     """Call ``attempt`` until it returns; after each SolveFailure, move the
     failed agent to the front of ``promoted`` and call it again, at most
-    ``MAX_RESTARTS`` times. SolveTimeout is never retried. When every
-    attempt fails, the first attempt's failure is raised."""
+    ``MAX_RESTARTS`` times. SolveTimeout is never retried, and neither is a
+    search that failed against an empty table: every attempt would repeat
+    it. When the attempts end in failure, the first attempt's failure is
+    raised."""
     first = None
     for _ in range(MAX_RESTARTS + 1):
         try:
@@ -263,6 +272,8 @@ def _with_restarts(attempt, promoted: list[int]):
             # without its traceback, the failure does not keep the failed
             # attempt's frames, and their reservation table, alive
             first = first or exc.with_traceback(None)
+            if isinstance(exc, _Unreachable):
+                break
             if exc.agent in promoted:
                 promoted.remove(exc.agent)
             promoted.insert(0, exc.agent)
@@ -276,29 +287,35 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Soluti
     Incomplete by nature. ``order`` is the first attempt's order. When an
     agent's search comes back empty, the solve restarts from an empty table
     with that agent moved to the front (Andreychuk & Yakovlev, AAMAS 2018),
-    at most ``MAX_RESTARTS`` times; if every attempt fails, SolveFailure
-    names the first agent that failed under ``order``. One budget covers
-    every attempt, and it is checked before each search and inside it: once
-    ``timeout`` seconds have passed, SolveTimeout names the agent about to
-    be searched, or the one whose search was cut. A NaN ``timeout`` raises
-    ValueError.
+    at most ``MAX_RESTARTS`` times, and each agent's distance heuristic is
+    built once and kept across attempts. No restart follows a search that
+    failed against the empty table, since it would fail again. If the
+    attempts fail, SolveFailure names the first agent that failed under
+    ``order``. One budget covers every attempt, and it is checked before
+    each search and inside it: once ``timeout`` seconds have passed,
+    SolveTimeout names the agent about to be searched, or the one whose
+    search was cut. A NaN ``timeout`` raises ValueError.
     """
     order = [int(a) for a in order]
     if sorted(order) != list(range(instance.n_agents)):
         raise ValueError("order must be a permutation of agent ids")
     _check_timeout(timeout)
     deadline = time.perf_counter() + timeout
-    return _with_restarts(lambda: _hca_attempt(instance, order, deadline, timeout), order)
+    heuristics = [ReverseResumableAStar(instance.grid, goal) for _, goal in instance.agents]
+    return _with_restarts(
+        lambda: _hca_attempt(instance, order, heuristics, deadline, timeout), order
+    )
 
 
 def _hca_attempt(
-    instance: ProblemInstance, order: list[int], deadline: float, timeout: float
+    instance: ProblemInstance, order: list[int], heuristics: list[ReverseResumableAStar],
+    deadline: float, timeout: float,
 ) -> Solution:
     """One attempt of ``solve_hca``, from an empty table."""
     rt = ReservationTable(instance.grid)
     paths: dict[int, TimedPath] = {}
     for agent in order:
-        path = _plan(instance, agent, rt, deadline, timeout)
+        path = _plan(instance, agent, rt, heuristics[agent], deadline, timeout)
         rt.insert_path(path)
         paths[agent] = path
     return Solution(paths)
@@ -338,12 +355,13 @@ def solve_variant(
 
     A failed search ends the attempt, and the solve restarts from an empty
     table, at most ``MAX_RESTARTS`` times, with the failed agents promoted
-    (see ``_round_choice``). A restart reuses the first attempt's round one,
-    which started from an empty table too (see ``SolveTrace``). If every
-    attempt fails, SolveFailure names the agent that failed first. One
-    budget covers every attempt, checked as in ``solve_hca``: SolveTimeout
-    names the agent about to be searched, or the one whose search was cut.
-    A NaN ``timeout`` raises ValueError.
+    (see ``_round_choice``); a failed search against the empty table ends
+    the solve at once, as in ``solve_hca``. A restart reuses the first
+    attempt's round one, which started from an empty table too (see
+    ``SolveTrace``). If the attempts fail, SolveFailure names the agent that
+    failed first. One budget covers every attempt, checked as in
+    ``solve_hca``: SolveTimeout names the agent about to be searched, or the
+    one whose search was cut. A NaN ``timeout`` raises ValueError.
 
     The searches and partition checks of a round are independent, so the
     round's ideal parallel latency is built from their times. They run one
@@ -393,7 +411,7 @@ def _variant_attempt(
             candidates = {}
             for agent in pending:
                 t0 = time.perf_counter()
-                candidates[agent] = _plan(instance, agent, rt, deadline, timeout, heuristics[agent])
+                candidates[agent] = _plan(instance, agent, rt, heuristics[agent], deadline, timeout)
                 search_seconds[agent] = time.perf_counter() - t0
 
             segments_by_agent, reports, detect_seconds = partition_conflict_reports(

@@ -74,6 +74,27 @@ class TestAstarStatic:
                 assert path[0] == s and path[-1] == g
                 assert all(grid.is_free(c) for c in path)
 
+    def test_matches_space_time_search(self):
+        # the space-time search with no reservations is the reference, and
+        # pins the tie-break; the open grid ties many shortest paths
+        rng = np.random.default_rng(7)
+        open_grid = GridMap(7, 6)
+        cells = open_grid.free_cells()
+        cases = [(open_grid, s, g) for s in cells for g in cells]
+        for seed in range(4):
+            grid = generate_random_map(14, 14, 0.3, seed=seed)
+            free = grid.free_cells()
+            pairs = rng.integers(len(free), size=(80, 2))
+            cases += [(grid, free[i], free[j]) for i, j in pairs]
+            cases.append((grid, free[0], free[0]))
+        unreachable = 0
+        for grid, s, g in cases:
+            path = space_time_astar(grid, s, g)
+            expected = None if path is None else path.cells()
+            assert astar_static(grid, s, g) == expected, (s, g)
+            unreachable += path is None
+        assert unreachable
+
 
 class TestReverseResumable:
     def test_at_goal(self):
@@ -86,18 +107,28 @@ class TestReverseResumable:
         assert h.distance((0, 0)) == 8
         assert h.distance((8, 1)) == 7
 
-    def test_matches_astar_on_obstacle_map(self):
-        rng = np.random.default_rng(23)
-        grid = generate_random_map(20, 20, 0.3, seed=9)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_bfs_oracle_on_random_maps(self, seed):
+        # the goal's component in random order, so queries resume the
+        # search; then the other components, whose first query uses the
+        # region up; then every cell again, in a new order. Even seeds ask
+        # about the goal first.
+        rng = np.random.default_rng(seed)
+        grid = generate_random_map(16, 16, 0.35, seed=seed)
         free = grid.free_cells()
-        goal = free[0]
+        goal = free[int(rng.integers(len(free)))]
+        expected = {cell: bfs_distance(grid, cell, goal) for cell in free}
+        reachable = [c for c in free if expected[c] is not None]
+        cut_off = [c for c in free if expected[c] is None]
+        assert cut_off
         h = ReverseResumableAStar(grid, goal)
-        for _ in range(100):
-            cell = free[int(rng.integers(len(free)))]
-            path = astar_static(grid, cell, goal)
-            expected = None if path is None else len(path) - 1
-            assert h.distance(cell) == expected
-            assert h.distance(cell) == expected  # repeated queries identical
+        queries = [goal] if seed % 2 == 0 else []
+        queries += [reachable[i] for i in rng.permutation(len(reachable))]
+        queries += [cut_off[i] for i in rng.permutation(len(cut_off))]
+        queries += [free[i] for i in rng.permutation(len(free))]
+        for cell in queries:
+            assert h.distance(cell) == expected[cell], cell
+        assert h.expanded == len(reachable)
 
     def test_expansion_budget(self):
         # across any query sequence, total settles never exceed the free-cell count

@@ -69,6 +69,13 @@ def late_gap_instance():
     return ProblemInstance(walled_map(80), (((79, 79), (40, 40)), ((0, 0), (79, 0))))
 
 
+def cut_off_instance():
+    """A 3x3 map walled down the middle column: agent 0's goal (2, 0) is
+    cut off from its start (0, 0), and agent 1 goes (0, 1) -> (0, 2)."""
+    grid = GridMap(3, 3, frozenset((1, y) for y in range(3)))
+    return ProblemInstance(grid, (((0, 0), (2, 0)), ((0, 1), (0, 2))))
+
+
 def check_wire(solution, trace, instance):
     """The benchmark's wire check (``perfbench/solving.py``): every final
     path packs and decodes intact, and the bits match ``rt_bits``."""
@@ -190,6 +197,21 @@ class TestSolveHca:
         solution = solve_hca(inst, [0, 1])
         assert searched == [0, 1, 1, 0]
         assert validate_solution(solution.paths, inst.grid, dict(enumerate(inst.agents))) == []
+
+    def test_heuristics_built_once_per_solve(self, monkeypatch):
+        # the restart reuses each agent's distance heuristic
+        built = []
+        base = mapfkit.solver.ReverseResumableAStar
+
+        class Heuristic(base):
+            def __init__(self, grid, goal):
+                super().__init__(grid, goal)
+                built.append(goal)
+
+        monkeypatch.setattr(mapfkit.solver, "ReverseResumableAStar", Heuristic)
+        inst = walled_gap_instance(50)
+        solve_hca(inst, [0, 1])
+        assert built == [goal for _, goal in inst.agents]
 
     def test_every_order_valid_on_crossing_instance(self):
         import itertools
@@ -388,6 +410,30 @@ class TestSolveVariant:
 
 
 class TestBoundedSearch:
+    @pytest.mark.parametrize(
+        "solve, expected",
+        [
+            (lambda inst: solve_hca(inst, [0, 1]), [0]),
+            # agent 0 first fails behind agent 1's path, which a restart
+            # could change, and then against the empty table, which it cannot
+            (lambda inst: solve_hca(inst, [1, 0]), [1, 0, 0]),
+            (solve_variant, [0]),
+        ],
+    )
+    def test_failure_against_empty_table_is_final(self, monkeypatch, solve, expected):
+        searched = []
+        search = mapfkit.solver.space_time_astar
+
+        def counted(*args, **kwargs):
+            searched.append(kwargs["agent"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(mapfkit.solver, "space_time_astar", counted)
+        with pytest.raises(SolveFailure) as exc:
+            solve(cut_off_instance())
+        assert exc.value.agent == 0
+        assert searched == expected
+
     def test_walled_gap_fails_fast(self):
         # agent 0 parks in the only gap: agent 1's sealed search ends fast
         inst = walled_gap_instance(50)
