@@ -139,13 +139,14 @@ def segment_bits(seg, n_agents: int, map_side: int) -> int:
     the absolute start time, which also covers gapped or late-starting
     segments.
     """
-    header = sum(header_widths(n_agents, map_side))
-    return header + BITS_PER_SYMBOL * seg.start_time + BITS_PER_SYMBOL * (seg.length + 1)
+    return path_bits([seg], n_agents, map_side)
 
 
 def path_bits(segments, n_agents: int, map_side: int) -> int:
-    """Total bits to transmit a path, segment by segment."""
-    return sum(segment_bits(seg, n_agents, map_side) for seg in segments)
+    """Total bits to transmit a path, segment by segment: ``segment_bits``
+    summed, with the header width computed once."""
+    header = sum(header_widths(n_agents, map_side))
+    return sum(header + BITS_PER_SYMBOL * (seg.start_time + seg.length + 1) for seg in segments)
 
 
 def pack_segment(enc: EncodedSegment, n_agents: int, map_side: int) -> bytes:

@@ -9,6 +9,7 @@ to seconds at a given data rate. The default rate reads "10 MBps" as
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -60,8 +61,9 @@ def source_goal_bits(n_agents: int, map_side: int) -> int:
 
 def iteration_path_bits(segment_lists: Iterable, n_agents: int, map_side: int) -> int:
     """Bits for every pending agent to upload its candidate path, one encoded
-    segment per per-partition subpath."""
-    return sum(path_bits(segs, n_agents, map_side) for segs in segment_lists)
+    segment per per-partition subpath: ``path_bits`` of all the lists'
+    segments in one call."""
+    return path_bits(itertools.chain.from_iterable(segment_lists), n_agents, map_side)
 
 
 def intersection_graph_bits(pair_counts: Iterable[int], n_agents: int) -> int:

@@ -4,9 +4,12 @@ whole-solution validation. ``solver`` runs the pipeline and merges reports.
 
 A path's final cell stays occupied after arrival (agents park at their
 goals), so detection extends final states forward in time up to the
-iteration horizon. Timed edges are checked in the partitions of both of
-their endpoints and deduplicated when reports merge, which is what makes
-partition-local detection equivalent to the all-pairs check.
+iteration horizon, but no later than the latest state time in the partition
+being checked. That bound is exact: a stay collides only with a state on its
+own cell, and that state lies in the same partition. Timed edges are checked
+in the partitions of both of their endpoints and deduplicated when reports
+merge, which is what makes partition-local detection equivalent to the
+all-pairs check.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import ne
 
 from .grid import Coord, GridMap, Partitioning
 from .search import TimedPath, TimedState
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SubpathSegment:
     """Maximal run of consecutive path states inside one partition.
 
@@ -28,6 +32,11 @@ class SubpathSegment:
     the run (None at the path's ends); they carry the boundary-crossing moves
     that belong to no segment's own state list. ``length`` counts moves, so a
     single-state visit has length 0.
+
+    Every round builds one segment per partition visit of every candidate
+    path, so the class is slotted and not frozen: a frozen dataclass sets
+    each field through ``object.__setattr__``, which made a segment cost
+    about three times as much to build.
     """
 
     agent: int
@@ -37,7 +46,7 @@ class SubpathSegment:
     next_state: TimedState | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
+        self.states = tuple(self.states)
         if not self.states:
             raise ValueError("a segment needs at least one state")
 
@@ -55,30 +64,26 @@ def split_path(path: TimedPath, part: Partitioning, grid: GridMap) -> list[Subpa
 
     Every state lands in exactly one segment; a new segment opens whenever
     the partition id changes, so re-entering a partition yields separate,
-    time-disjoint segments.
+    time-disjoint segments. Partition ids come from ``part.cell_parts``, and
+    each segment's states are a slice of ``path.states``.
     """
     if (part.width, part.height) != (grid.width, grid.height):
         raise ValueError("partitioning was built for a different map size")
-    locate = part.locate
+    parts, w = part.cell_parts, grid.width
     states = path.states
-    runs: list[tuple[int, list[TimedState]]] = []
-    run = [states[0]]
-    run_part = locate(states[0][:2])
-    for st in states[1:]:
-        pid = locate(st[:2])
-        if pid == run_part:
-            run.append(st)
-        else:
-            runs.append((run_part, run))
-            run = [st]
-            run_part = pid
-    runs.append((run_part, run))
-    segments = []
-    for i, (pid, sts) in enumerate(runs):
-        prev_state = runs[i - 1][1][-1] if i > 0 else None
-        next_state = runs[i + 1][1][0] if i + 1 < len(runs) else None
-        segments.append(SubpathSegment(path.agent, pid, tuple(sts), prev_state, next_state))
-    return segments
+    n = len(states)
+    pids = [parts[y * w + x] for x, y, _ in states]
+    # a segment opens at state 0 and at every state whose partition differs
+    # from the one before it
+    starts = [0, *itertools.compress(itertools.count(1), map(ne, pids, pids[1:]))]
+    ends = starts[1:] + [n]
+    agent = path.agent
+    return [
+        SubpathSegment(
+            agent, pids[i], states[i:j], states[i - 1] if i else None, states[j] if j < n else None
+        )
+        for i, j in zip(starts, ends)
+    ]
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,14 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _also_on(key, first: int, agent: int, crowded: dict, pairs: set) -> None:
+    """``agent`` reaches ``key``, which ``first`` reached before it: pair it
+    with every agent on the key so far, and list it there."""
+    agents = crowded.setdefault(key, [first])
+    pairs.update([_pair(agent, b) for b in agents if b != agent])
+    agents.append(agent)
+
+
 def detect_conflicts_in_partition(
     segments: Sequence[SubpathSegment], horizon: int
 ) -> ConflictReport:
@@ -104,46 +117,53 @@ def detect_conflicts_in_partition(
 
     A path's last segment parks on its final cell up to ``horizon`` (the
     latest arrival over the round's paths), as ``validate_solution`` has it,
-    so the vertex pass finds goal-stay conflicts too. Boundary moves (entry/exit
-    of a segment) join swap detection here and in the neighboring partition
-    alike; set semantics dedupe the double sighting downstream.
-    """
-    pairs: set[tuple[int, int]] = set()
-    occupancy: dict[TimedState, list[int]] = {}
-    moves: dict[tuple[int, int, int, int, int], list[int]] = {}
+    so the vertex pass finds goal-stay conflicts too. The stay ends earlier
+    when the segments' latest state time is earlier: a stay collides only
+    with a state on its own cell, which lies in this partition, so no later
+    stay time can collide. States past ``horizon`` are still checked.
 
+    Boundary moves (entry/exit of a segment) join swap detection here and in
+    the neighboring partition alike; set semantics dedupe the double sighting
+    downstream. A step from ``(x0, y0, t)`` to ``(x1, y1, t + 1)`` is keyed by
+    its midpoint ``(x0 + x1, y0 + y1, t)``, which both directions of an edge
+    share, so a swap is two agents on one key and is found when the second
+    one arrives. Two agents on one key in the same direction, or waiting on
+    one cell, also share a state in this partition, so the key adds no pair
+    that the vertex pass misses. A key keeps its first agent, and a key that
+    more agents reach lists them all, so every pair on a key is reported.
+    """
+    if len(segments) < 2:
+        return ConflictReport(frozenset())  # one agent has nobody to meet
+    end = min(horizon, max([seg.states[-1][2] for seg in segments]))
+    at: dict[TimedState, int] = {}  # state -> first agent there
+    on: dict[tuple[int, int, int], int] = {}  # step midpoint -> first agent on it
+    crowded_at: dict[TimedState, list[int]] = {}
+    crowded_on: dict[tuple[int, int, int], list[int]] = {}
+    pairs: set[tuple[int, int]] = set()
+    hold, cross = at.setdefault, on.setdefault
     for seg in segments:
         a = seg.agent
         sts = seg.states
         for st in sts:
-            occupancy.setdefault(st, []).append(a)
-        for (x0, y0, t0), (x1, y1, _) in zip(sts, sts[1:]):
-            if (x0, y0) != (x1, y1):
-                moves.setdefault((x0, y0, x1, y1, t0), []).append(a)
-        if seg.prev_state is not None:
-            px, py, pt = seg.prev_state
-            x0, y0, _ = sts[0]
-            moves.setdefault((px, py, x0, y0, pt), []).append(a)
-        x1, y1, t1 = sts[-1]
-        if seg.next_state is not None:
-            nx, ny, _ = seg.next_state
-            moves.setdefault((x1, y1, nx, ny, t1), []).append(a)
+            b = hold(st, a)
+            if b != a:
+                _also_on(st, b, a, crowded_at, pairs)
+        nxt = seg.next_state
+        if nxt is None:
+            x, y, t = sts[-1]
+            for st in zip(itertools.repeat(x), itertools.repeat(y), range(t + 1, end + 1)):
+                b = hold(st, a)
+                if b != a:
+                    _also_on(st, b, a, crowded_at, pairs)
         else:
-            for t in range(t1 + 1, horizon + 1):
-                occupancy.setdefault((x1, y1, t), []).append(a)
-
-    for agents in occupancy.values():
-        if len(agents) > 1:
-            for a, b in itertools.combinations(agents, 2):
-                if a != b:
-                    pairs.add(_pair(a, b))
-    for (x0, y0, x1, y1, t), agents in moves.items():
-        rev = moves.get((x1, y1, x0, y0, t))
-        if rev:
-            for a in agents:
-                for b in rev:
-                    if a != b:
-                        pairs.add(_pair(a, b))
+            sts += (nxt,)
+        if seg.prev_state is not None:
+            sts = (seg.prev_state,) + sts
+        for (x0, y0, t0), (x1, y1, _) in zip(sts, sts[1:]):
+            key = (x0 + x1, y0 + y1, t0)
+            b = cross(key, a)
+            if b != a:
+                _also_on(key, b, a, crowded_on, pairs)
     return ConflictReport(frozenset(pairs))
 
 

@@ -21,8 +21,9 @@ Coord = tuple[int, int]
 
 FREE_CHARS = frozenset(".G")
 OBSTACLE_CHARS = frozenset("@OT")
-# open-grid neighbour tables kept alive, one per (width, height); every
-# workload uses one or two map sizes
+# per-shape tables kept alive: open-grid neighbour tables, one per (width,
+# height), and partition tables, one per partitioning; every workload uses
+# one or two map sizes
 OPEN_TABLE_CACHE_SIZE = 4
 
 
@@ -312,6 +313,12 @@ class Partitioning:
         x, y = cell
         return (y * self.rows // self.height) * self.cols + (x * self.cols // self.width)
 
+    @cached_property
+    def cell_parts(self) -> tuple[int, ...]:
+        """``locate`` of every cell, indexed by flat id ``y * width + x``.
+        Equal partitionings share one table (see ``_cell_parts``)."""
+        return _cell_parts(self)
+
     def block_rect(self, part_id: int) -> tuple[int, int, int, int]:
         """Descriptive closed bounds ``(x_lo, x_hi, y_lo, y_hi)`` of a block;
         adjacent blocks share their printed boundary."""
@@ -320,3 +327,11 @@ class Partitioning:
         row, col = divmod(part_id, self.cols)
         w, h, c, r = self.width, self.height, self.cols, self.rows
         return (col * w // c, (col + 1) * w // c, row * h // r, (row + 1) * h // r)
+
+
+@lru_cache(maxsize=OPEN_TABLE_CACHE_SIZE)
+def _cell_parts(part: Partitioning) -> tuple[int, ...]:
+    """The table behind ``Partitioning.cell_parts``. Solves on maps of one
+    size with one agent count partition alike, so they share one table
+    instead of building one each."""
+    return tuple(part.locate((x, y)) for y in range(part.height) for x in range(part.width))

@@ -126,6 +126,44 @@ def brute_conflict_pairs(paths, horizon=None):
     return pairs
 
 
+def brute_partition_pairs(paths, locate, horizon):
+    """Colliding pairs filed by partition, from the definitions: a vertex or
+    stay collision goes under its cell's partition, and a swap under the
+    partitions of both of its endpoints. A path holds its explicit states
+    at every time they cover, and its final cell after arrival up to
+    ``horizon``. Returns {partition: pairs} for the partitions with a pair."""
+    paths = list(paths)
+
+    def cell_at(path, t):
+        first_t = path.states[0][2]
+        last_x, last_y, last_t = path.states[-1]
+        if first_t <= t <= last_t:
+            x, y, _ = path.states[t - first_t]
+            return (x, y)
+        if last_t < t <= horizon:
+            return (last_x, last_y)
+        return None
+
+    t_max = max(max(p.states[-1][2] for p in paths), horizon)
+    filed = {}
+    for i in range(len(paths)):
+        for j in range(i + 1, len(paths)):
+            p, q = paths[i], paths[j]
+            if p.agent == q.agent:
+                continue
+            pair = (min(p.agent, q.agent), max(p.agent, q.agent))
+            for t in range(t_max + 1):
+                here = cell_at(p, t)
+                if here is not None and here == cell_at(q, t):
+                    filed.setdefault(locate(here), set()).add(pair)
+            q_moves = moves_of(q)
+            for x0, y0, x1, y1, t in moves_of(p):
+                if (x1, y1, x0, y0, t) in q_moves:
+                    filed.setdefault(locate((x0, y0)), set()).add(pair)
+                    filed.setdefault(locate((x1, y1)), set()).add(pair)
+    return filed
+
+
 def max_independent_set_size(nodes, edges):
     """Exhaustive subset enumeration (fine for <= ~20 nodes)."""
     nodes = sorted(nodes)

@@ -5,6 +5,7 @@ from mapfkit import (
     GridMap,
     IntersectionGraph,
     Partitioning,
+    SubpathSegment,
     TimedPath,
     build_intersection_graph,
     connected_components,
@@ -15,7 +16,12 @@ from mapfkit import (
     validate_solution,
 )
 
-from oracles import brute_conflict_pairs, random_timed_path, union_find_components
+from oracles import (
+    brute_conflict_pairs,
+    brute_partition_pairs,
+    random_timed_path,
+    union_find_components,
+)
 
 
 def straight_path(agent, cells, start_t=0):
@@ -69,6 +75,92 @@ class TestSplitPath:
                 for x, y, _ in seg.states:
                     assert part.locate((x, y)) == seg.partition
             assert len(segs) >= 1
+
+
+class TestSubpathSegment:
+    def test_rejects_empty_states(self):
+        for empty in ((), []):
+            with pytest.raises(ValueError, match="at least one state"):
+                SubpathSegment(0, 0, empty)
+
+    def test_states_become_a_tuple(self):
+        seg = SubpathSegment(0, 0, [(1, 1, 0), (2, 1, 1)])
+        assert seg.states == ((1, 1, 0), (2, 1, 1))
+        assert (seg.start_time, seg.length) == (0, 1)
+
+
+def reports_by_partition(paths, part, grid, horizon):
+    """Each partition's pairs, from split_path and detect_conflicts_in_partition
+    called directly, so that ``horizon`` may lie below the latest arrival."""
+    by_part = {}
+    for path in paths:
+        for seg in split_path(path, part, grid):
+            by_part.setdefault(seg.partition, []).append(seg)
+    return {
+        pid: detect_conflicts_in_partition(segs, horizon).pairs for pid, segs in by_part.items()
+    }
+
+
+def nonempty(reports):
+    return {pid: set(pairs) for pid, pairs in reports.items() if pairs}
+
+
+class TestPartitionReports:
+    """Each partition's own report: the merged graph can be right while one
+    partition misses a pair another one saw, and ``ig_bits`` counts every
+    partition's pairs."""
+
+    @pytest.mark.parametrize("n_parts", [1, 4, 7])
+    def test_matches_brute_force_per_partition(self, n_parts):
+        rng = np.random.default_rng(301 + n_parts)
+        filed = 0
+        for _ in range(40):
+            grid = generate_random_map(5, 5, 0.1, seed=int(rng.integers(1 << 30)))
+            part = Partitioning.for_map(grid, n_parts)
+            n_agents = int(rng.integers(10, 13))
+            paths = [random_timed_path(rng, grid, a, max_len=10) for a in range(n_agents)]
+            latest = max(p.arrival_time for p in paths)
+            below = int(rng.integers(max(latest, 1)))
+            for horizon in (latest, below):
+                expected = brute_partition_pairs(paths, part.locate, horizon)
+                assert nonempty(reports_by_partition(paths, part, grid, horizon)) == expected
+                filed += sum(len(pairs) for pairs in expected.values())
+            _, reports, _ = partition_conflict_reports(paths, part, grid)
+            assert nonempty({pid: r.pairs for pid, r in reports.items()}) == (
+                brute_partition_pairs(paths, part.locate, latest)
+            )
+        assert filed > 0
+
+    def test_three_agents_on_one_state(self):
+        # all three stand on (2, 2) at t=1 and meet nowhere else
+        grid = GridMap(6, 6)
+        part = Partitioning.for_map(grid, 1)
+        paths = [
+            straight_path(0, [(1, 2), (2, 2), (3, 2)]),
+            straight_path(1, [(3, 2), (2, 2), (1, 2)]),
+            straight_path(2, [(2, 1), (2, 2), (2, 3)]),
+        ]
+        reports = reports_by_partition(paths, part, grid, horizon=2)
+        assert reports == {0: {(0, 1), (0, 2), (1, 2)}}
+        assert nonempty(reports) == brute_partition_pairs(paths, part.locate, 2)
+
+    @pytest.mark.parametrize("n_parts", [1, 4])
+    def test_swap_against_two_agents_on_one_move(self, n_parts):
+        # 0 and 1 take the move (5, 3) -> (6, 3) at t=0 and 2 takes it the
+        # other way: only the swap pairs 1 with 2, so a table that keeps one
+        # agent per move misses that pair. With four parts the move crosses
+        # the x-cut between 5 and 6, and both partitions see every pair
+        grid = GridMap(12, 12)
+        part = Partitioning.for_map(grid, n_parts)
+        paths = [
+            straight_path(0, [(5, 3), (6, 3)]),
+            straight_path(1, [(5, 3), (6, 3)]),
+            straight_path(2, [(6, 3), (5, 3)]),
+        ]
+        reports = reports_by_partition(paths, part, grid, horizon=1)
+        everyone = {(0, 1), (0, 2), (1, 2)}
+        assert reports == {pid: everyone for pid in {part.locate((5, 3)), part.locate((6, 3))}}
+        assert nonempty(reports) == brute_partition_pairs(paths, part.locate, 1)
 
 
 class TestDetectConflicts:

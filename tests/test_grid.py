@@ -211,6 +211,20 @@ class TestPartitioning:
                 assert pid in rectangles_containing(part, (x, y))
         assert sum(counts) == w * h
 
+    @pytest.mark.parametrize("w,h", [(12, 12), (17, 5), (5, 17)])
+    @pytest.mark.parametrize("n", [1, 4, 6, 7, 13])
+    def test_cell_table_matches_locate(self, w, h, n):
+        # split_path reads each state's partition from this table, by flat id
+        grid = GridMap(w, h)
+        part = Partitioning.for_map(grid, n)
+        table = part.cell_parts
+        assert len(table) == w * h
+        for y in range(h):
+            for x in range(w):
+                assert table[grid.cell_id((x, y))] == part.locate((x, y))
+        # equal partitionings share one table
+        assert Partitioning.for_map(GridMap(w, h), n).cell_parts is table
+
     def test_composite_blocks_are_rectangles(self):
         grid = GridMap(20, 14)
         part = Partitioning.for_map(grid, 6)

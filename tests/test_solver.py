@@ -3,6 +3,7 @@ import sys
 import time
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -456,27 +457,33 @@ class TestBoundedSearch:
             assert exc.value.agent == 1
 
     def test_timeout_checked_before_every_search(self, monkeypatch):
-        # each search takes 0.05 s and never reaches its own deadline check,
-        # so only the check before a search can stop a planner: the budget
-        # runs out during agent 2's search, and agent 3 is never searched
+        # mapfkit.solver's clock stands still except that each search moves
+        # it 0.05 s on, and no search runs long enough to reach its own
+        # deadline check, so only the check before a search can stop a
+        # planner: the budget runs out during agent 2's search, and agent 3
+        # is never searched. No reading of the real clock decides the outcome
         grid = GridMap(8, 8)
         inst = ProblemInstance(grid, tuple(((0, y), (3, y)) for y in range(8)))
         search = mapfkit.solver.space_time_astar
+        now = [time.perf_counter()]
+        searched = []
 
         def slow(*args, **kwargs):
-            time.sleep(0.05)
+            searched.append(kwargs["agent"])
+            now[0] += 0.05
             return search(*args, **kwargs)
 
+        monkeypatch.setattr(mapfkit.solver, "time", SimpleNamespace(perf_counter=lambda: now[0]))
         monkeypatch.setattr(mapfkit.solver, "space_time_astar", slow)
         for solve in (
             lambda: solve_hca(inst, range(8), timeout=0.12),
             lambda: solve_variant(inst, timeout=0.12),
         ):
-            t0 = time.perf_counter()
+            searched.clear()
             with pytest.raises(SolveTimeout) as exc:
                 solve()
-            assert time.perf_counter() - t0 < 0.3
             assert exc.value.agent == 3
+            assert searched == [0, 1, 2]
 
     def test_variant_timeout_between_rounds_names_first_pending(self):
         inst = crossing_pairs_instance()
