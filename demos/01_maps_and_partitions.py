@@ -33,9 +33,9 @@ assert parse_movingai_map(text) == grid
 print("\nfirst lines of the .map serialization:")
 print("\n".join(text.splitlines()[:6]))
 
-# (3) Downsampling aggregates preimage blocks; majority keeps the density,
-#     any-obstacle is conservative.
-small = downsample_map(grid, 12, 5, "majority")
+# (3) Downsampling aggregates preimage blocks: a cell is blocked when at
+#     least half of its block is, which keeps the obstacle density.
+small = downsample_map(grid, 12, 5)
 print(f"\ndownsampled to 12x5 (majority): {len(small.obstacles)} obstacles")
 render(small)
 

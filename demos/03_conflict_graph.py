@@ -28,21 +28,21 @@ paths = [
 # (1) One partition per agent: a 2x2 block grid over the board.
 part = Partitioning.for_map(grid, 4)
 for path in paths:
-    segs = split_path(path, part, grid)
+    segs = split_path(path, part)
     spans = ", ".join(f"partition {s.partition}: t={s.start_time}..{s.start_time + s.length}" for s in segs)
     print(f"agent {path.agent} splits into {len(segs)} segment(s): {spans}")
 
 # (2) The one conflict pipeline, the step every solve_variant round runs:
 #     split every path, group the segments by partition, and let each
 #     partition report the colliding pairs it can see locally.
-_, reports, _ = partition_conflict_reports(paths, part, grid)
+_, reports, _ = partition_conflict_reports(paths, part)
 for pid, report in reports.items():
     print(f"partition {pid} reports: {sorted(report.pairs) or 'nothing'}")
 
 # (3) build_intersection_graph runs that same pipeline and merges the
 #     reports into the intersection graph; an independent set of it is a set
 #     of mutually compatible paths that can be fixed at once.
-ig = build_intersection_graph(paths, part, grid)
+ig = build_intersection_graph(paths, part)
 print(f"\nintersection graph: nodes={ig.nodes} edges={sorted(ig.edges)}")
 print(f"connected components: {connected_components(ig)}")
 chosen = independent_set(ig)

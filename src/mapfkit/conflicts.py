@@ -59,20 +59,23 @@ class SubpathSegment:
         return len(self.states) - 1
 
 
-def split_path(path: TimedPath, part: Partitioning, grid: GridMap) -> list[SubpathSegment]:
+def split_path(path: TimedPath, part: Partitioning) -> list[SubpathSegment]:
     """Cut a path into per-partition segments in O(path length).
 
     Every state lands in exactly one segment; a new segment opens whenever
     the partition id changes, so re-entering a partition yields separate,
     time-disjoint segments. Partition ids come from ``part.cell_parts``, and
-    each segment's states are a slice of ``path.states``.
+    each segment's states are a slice of ``path.states``. A state off the
+    ``part.width x part.height`` map raises ValueError naming the agent and
+    the state.
     """
-    if (part.width, part.height) != (grid.width, grid.height):
-        raise ValueError("partitioning was built for a different map size")
-    parts, w = part.cell_parts, grid.width
+    parts, w, h = part.cell_parts, part.width, part.height
     states = path.states
     n = len(states)
-    pids = [parts[y * w + x] for x, y, _ in states]
+    pids = [parts[y * w + x] if 0 <= x < w and 0 <= y < h else -1 for x, y, _ in states]
+    if -1 in pids:
+        x, y, t = states[pids.index(-1)]
+        raise ValueError(f"agent {path.agent} path leaves the {w}x{h} map at ({x}, {y}, {t})")
     # a segment opens at state 0 and at every state whose partition differs
     # from the one before it
     starts = [0, *itertools.compress(itertools.count(1), map(ne, pids, pids[1:]))]

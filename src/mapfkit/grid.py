@@ -223,20 +223,15 @@ def _block_starts(size: int, n_blocks: int) -> list[int]:
     return [(k * size + n_blocks - 1) // n_blocks for k in range(n_blocks)]
 
 
-def downsample_map(
-    grid: GridMap, target_w: int, target_h: int, rule: str = "majority"
-) -> GridMap:
-    """Shrink a map by aggregating preimage blocks of the integer-cut scheme.
-
-    ``majority`` marks a target cell blocked when at least half of its
-    preimage cells are obstacles; ``any-obstacle`` when at least one is.
+def downsample_map(grid: GridMap, target_w: int, target_h: int) -> GridMap:
+    """Shrink a map by aggregating preimage blocks of the integer-cut scheme:
+    a target cell is blocked when at least half of its preimage cells are
+    obstacles (the majority rule).
     """
     if target_w < 1 or target_h < 1:
         raise ValueError("target dimensions must be positive")
     if target_w > grid.width or target_h > grid.height:
         raise ValueError("target dimensions must not exceed the source map")
-    if rule not in ("majority", "any-obstacle"):
-        raise ValueError(f"unknown downsampling rule {rule!r}")
 
     occ = np.zeros((grid.height, grid.width), dtype=np.int64)
     for x, y in grid.obstacles:
@@ -246,33 +241,24 @@ def downsample_map(
     sums = np.add.reduceat(np.add.reduceat(occ, ys, axis=0), xs, axis=1)
     x_sizes = np.diff(xs + [grid.width])
     y_sizes = np.diff(ys + [grid.height])
-    sizes = np.outer(y_sizes, x_sizes)
-    if rule == "majority":
-        mask = 2 * sums >= sizes
-    else:
-        mask = sums > 0
-    yy, xx = np.nonzero(mask)
+    yy, xx = np.nonzero(2 * sums >= np.outer(y_sizes, x_sizes))
     return GridMap(target_w, target_h, frozenset((int(x), int(y)) for x, y in zip(xx, yy)))
 
 
 def balanced_factorization(n: int) -> tuple[int, int]:
     """Split ``n`` into ``p * q`` with ``p <= q`` minimizing
-    ``(p - sqrt(n))**2 + (q - sqrt(n))**2`` by brute force over divisors.
+    ``(p - sqrt(n))**2 + (q - sqrt(n))**2``: ``p`` is the largest divisor
+    with ``p * p <= n``. With ``s = p + q`` the objective is
+    ``s * (s - 2 * sqrt(n))``, which grows with ``s`` over every divisor
+    pair (each has ``s >= 2 * sqrt(n)``), and ``p + n // p`` falls as ``p``
+    rises towards ``sqrt(n)``.
 
     Primes (and 1) come out as ``(1, n)``.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    root = math.sqrt(n)
-    best = (1, n)
-    best_obj = (1 - root) ** 2 + (n - root) ** 2
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d:
-            continue
-        obj = (d - root) ** 2 + (n // d - root) ** 2
-        if obj <= best_obj:
-            best_obj, best = obj, (d, n // d)
-    return best
+    p = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+    return p, n // p
 
 
 @dataclass(frozen=True)

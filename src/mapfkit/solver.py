@@ -143,11 +143,12 @@ class IterationRecord:
     """Everything one solve round produced, enough to re-derive the
     idealized parallel time; the round's bits are the matching entry of
     ``SolveTrace.ledger.iterations``. The round's pending agents are
-    ``ig.nodes``."""
+    ``ig.nodes``. Its per-partition pair counts are not kept: they were
+    sent as the entry's ``ig_bits``, and ``partition_conflict_reports`` of
+    ``candidate_paths`` reproduces them."""
 
     candidate_paths: dict[int, TimedPath]
     ig: IntersectionGraph
-    partition_pair_counts: dict[int, int]
     independent: tuple[int, ...]
     search_seconds: dict[int, float]
     detect_seconds: dict[int, float]
@@ -188,19 +189,18 @@ class SolveTrace:
 
 
 def partition_conflict_reports(
-    paths: Iterable[TimedPath], part: Partitioning, grid: GridMap
+    paths: Iterable[TimedPath], part: Partitioning
 ) -> tuple[dict[int, list[SubpathSegment]], dict[int, ConflictReport], dict[int, float]]:
     """A round's conflict step: split every path over ``part``, group the
     segments by partition, and check each partition that holds one, up to the
-    latest arrival. Returns the segments by agent, the reports by increasing
+    latest arrival. Returns the segments by partition (every path's segments,
+    each once, in path order within a partition), the reports by increasing
     partition id, and each check's own seconds; the split is untimed. The
     ``conflicts`` primitives are called through this module's names."""
     paths = list(paths)
-    segments_by_agent: dict[int, list[SubpathSegment]] = {}
     by_partition: dict[int, list[SubpathSegment]] = {}
     for path in paths:
-        segments_by_agent[path.agent] = segments = split_path(path, part, grid)
-        for seg in segments:
+        for seg in split_path(path, part):
             by_partition.setdefault(seg.partition, []).append(seg)
     horizon = max((p.arrival_time for p in paths), default=0)
     reports: dict[int, ConflictReport] = {}
@@ -209,20 +209,18 @@ def partition_conflict_reports(
         t0 = time.perf_counter()
         reports[pid] = detect_conflicts_in_partition(by_partition[pid], horizon)
         detect_seconds[pid] = time.perf_counter() - t0
-    return segments_by_agent, reports, detect_seconds
+    return by_partition, reports, detect_seconds
 
 
 def _merge(nodes: Iterable[int], reports: dict[int, ConflictReport]) -> IntersectionGraph:
     return IntersectionGraph(tuple(nodes), frozenset().union(*(r.pairs for r in reports.values())))
 
 
-def build_intersection_graph(
-    paths: Iterable[TimedPath], part: Partitioning, grid: GridMap
-) -> IntersectionGraph:
+def build_intersection_graph(paths: Iterable[TimedPath], part: Partitioning) -> IntersectionGraph:
     """Assemble the collision graph from the partition-local reports; the
     edge set equals what an all-pairs whole-path comparison would find."""
     paths = list(paths)
-    return _merge(sorted(p.agent for p in paths), partition_conflict_reports(paths, part, grid)[1])
+    return _merge(sorted(p.agent for p in paths), partition_conflict_reports(paths, part)[1])
 
 
 def _plan(
@@ -325,18 +323,18 @@ def _round_choice(ig: IntersectionGraph, promoted: list[int]) -> set[int]:
     """The agents a round fixes. The pending agents of ``promoted`` come
     first, newest first, each while it stays independent of those already
     taken; then ``independent_set`` runs on the pending agents that are
-    neither taken nor adjacent to one taken."""
-    if not promoted:
-        return independent_set(ig)
-    adj = ig.adjacency()
+    neither taken nor adjacent to one taken, all of them when none is
+    promoted."""
     chosen: set[int] = set()
+    blocked: set[int] = set()  # the agents taken and their neighbours
     for a in promoted:
-        if a in adj and not adj[a] & chosen:
+        if a in ig.nodes and a not in blocked:
             chosen.add(a)
-    blocked = chosen.union(*(adj[a] for a in chosen))
+            blocked.add(a)
+            blocked.update(*(e for e in ig.edges if a in e))
     rest = IntersectionGraph(
         tuple(a for a in ig.nodes if a not in blocked),
-        frozenset(e for e in ig.edges if blocked.isdisjoint(e)),
+        frozenset(filter(blocked.isdisjoint, ig.edges)),
     )
     return chosen | independent_set(rest)
 
@@ -403,7 +401,6 @@ def _variant_attempt(
             # a restart's round one: the first attempt's candidates and graph
             first = trace.iterations[0]
             candidates, ig = first.candidate_paths, first.ig
-            pair_counts = first.partition_pair_counts
             detect_seconds: dict[int, float] = {}
             comm_entry = IterationComm(0, 0, 0)
             server0 = time.perf_counter()
@@ -414,17 +411,16 @@ def _variant_attempt(
                 candidates[agent] = _plan(instance, agent, rt, heuristics[agent], deadline, timeout)
                 search_seconds[agent] = time.perf_counter() - t0
 
-            segments_by_agent, reports, detect_seconds = partition_conflict_reports(
-                candidates.values(), part, grid
+            segments, reports, detect_seconds = partition_conflict_reports(
+                candidates.values(), part
             )
 
             server0 = time.perf_counter()
-            pair_counts = {pid: r.count for pid, r in reports.items()}
             ig = _merge(pending, reports)
             comm_entry = IterationComm(
                 source_goal_bits=source_goal_bits(len(pending), map_side),
-                path_bits=iteration_path_bits(segments_by_agent.values(), n, map_side),
-                ig_bits=intersection_graph_bits(pair_counts.values(), n),
+                path_bits=iteration_path_bits(segments.values(), n, map_side),
+                ig_bits=intersection_graph_bits([r.count for r in reports.values()], n),
             )
         chosen = tuple(sorted(_round_choice(ig, promoted)))
         for a in chosen:
@@ -436,7 +432,6 @@ def _variant_attempt(
             IterationRecord(
                 candidate_paths=candidates,
                 ig=ig,
-                partition_pair_counts=pair_counts,
                 independent=chosen,
                 search_seconds=search_seconds,
                 detect_seconds=detect_seconds,

@@ -40,6 +40,7 @@ from mapfkit.bench import WALL_TIME_COLUMNS
 
 from oracles import (
     brute_conflict_pairs,
+    brute_partition_pairs,
     max_independent_set_size,
     random_timed_path,
     time_expanded_shortest,
@@ -113,7 +114,7 @@ def test_criterion_02_partitioned_conflicts_match_brute_force():
         n_agents = int(rng.integers(2, 11))
         paths = [random_timed_path(rng, grid, a, max_len=15) for a in range(n_agents)]
         part = Partitioning.for_map(grid, n_agents)
-        ig = build_intersection_graph(paths, part, grid)
+        ig = build_intersection_graph(paths, part)
         expected = brute_conflict_pairs(paths)
         assert set(ig.edges) == expected, f"trial {trial}: {set(ig.edges)} != {expected}"
         agree += 1
@@ -245,7 +246,10 @@ def test_criterion_08_communication_ledger_exact():
                 length = j - k
                 total += clog2(n) + 2 * clog2(side) + 3 * start_time + 3 * (length + 1)
                 k = j + 1
-        total += 2 * clog2(n) * sum(rec.partition_pair_counts.values())  # pair reports
+        # pair reports, recounted by partition from the definitions
+        latest = max(p.arrival_time for p in rec.candidate_paths.values())
+        filed = brute_partition_pairs(rec.candidate_paths.values(), part.locate, latest)
+        total += 2 * clog2(n) * sum(len(pairs) for pairs in filed.values())
     for agent in range(n):  # final reservation-table broadcast
         length = None
         for rec in trace.iterations:

@@ -169,7 +169,7 @@ class TestBitAccounting:
         grid = GridMap(12, 12)
         part = Partitioning.for_map(grid, 4)
         path = TimedPath(2, tuple((x, 3, x) for x in range(12)))  # crosses the x-cut
-        segs = split_path(path, part, grid)
+        segs = split_path(path, part)
         assert len(segs) == 2
         total = path_bits(segs, 64, 12)
         assert total == sum(segment_bits(seg, 64, 12) for seg in segs)

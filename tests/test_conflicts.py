@@ -33,7 +33,7 @@ class TestSplitPath:
         grid = GridMap(12, 12)
         part = Partitioning.for_map(grid, 4)
         path = straight_path(0, [(0, 0), (1, 0), (2, 0)])
-        segs = split_path(path, part, grid)
+        segs = split_path(path, part)
         assert len(segs) == 1
         assert segs[0].states == path.states
         assert segs[0].prev_state is None and segs[0].next_state is None
@@ -42,7 +42,7 @@ class TestSplitPath:
         grid = GridMap(12, 12)
         part = Partitioning.for_map(grid, 4)  # x-cut between 5 and 6
         path = straight_path(1, [(5, 0), (6, 0), (7, 0)])
-        segs = split_path(path, part, grid)
+        segs = split_path(path, part)
         assert len(segs) == 2
         assert segs[0].states == ((5, 0, 0),)
         assert segs[1].states == ((6, 0, 1), (7, 0, 2))
@@ -53,7 +53,7 @@ class TestSplitPath:
         grid = GridMap(12, 12)
         part = Partitioning.for_map(grid, 4)
         path = straight_path(2, [(5, 0), (6, 0), (5, 0), (4, 0)])
-        segs = split_path(path, part, grid)
+        segs = split_path(path, part)
         assert len(segs) == 3
         in_first = [s for s in segs if s.partition == segs[0].partition]
         assert len(in_first) == 2
@@ -66,7 +66,7 @@ class TestSplitPath:
         part = Partitioning.for_map(grid, 9)
         for agent in range(20):
             path = random_timed_path(rng, grid, agent, max_len=30)
-            segs = split_path(path, part, grid)
+            segs = split_path(path, part)
             assert sum(len(s.states) for s in segs) == len(path.states)
             # each boundary crossing drops one move from the segment totals
             assert sum(s.length for s in segs) == len(path.states) - len(segs)
@@ -75,6 +75,21 @@ class TestSplitPath:
                 for x, y, _ in seg.states:
                     assert part.locate((x, y)) == seg.partition
             assert len(segs) >= 1
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(11, 0), (12, 0), (12, 1)],  # past the right edge: the next row's cells
+            [(0, 11), (0, 12)],  # past the bottom: beyond the partition table
+            [(0, 0), (-1, 0)],  # a negative x: wraps to the row above
+        ],
+    )
+    def test_rejects_states_off_the_map(self, cells):
+        part = Partitioning.for_map(GridMap(12, 12), 4)
+        path = straight_path(3, cells)
+        x, y, t = path.states[1]
+        with pytest.raises(ValueError, match=rf"agent 3 .* at \({x}, {y}, {t}\)$"):
+            split_path(path, part)
 
 
 class TestSubpathSegment:
@@ -89,12 +104,12 @@ class TestSubpathSegment:
         assert (seg.start_time, seg.length) == (0, 1)
 
 
-def reports_by_partition(paths, part, grid, horizon):
+def reports_by_partition(paths, part, horizon):
     """Each partition's pairs, from split_path and detect_conflicts_in_partition
     called directly, so that ``horizon`` may lie below the latest arrival."""
     by_part = {}
     for path in paths:
-        for seg in split_path(path, part, grid):
+        for seg in split_path(path, part):
             by_part.setdefault(seg.partition, []).append(seg)
     return {
         pid: detect_conflicts_in_partition(segs, horizon).pairs for pid, segs in by_part.items()
@@ -123,9 +138,9 @@ class TestPartitionReports:
             below = int(rng.integers(max(latest, 1)))
             for horizon in (latest, below):
                 expected = brute_partition_pairs(paths, part.locate, horizon)
-                assert nonempty(reports_by_partition(paths, part, grid, horizon)) == expected
+                assert nonempty(reports_by_partition(paths, part, horizon)) == expected
                 filed += sum(len(pairs) for pairs in expected.values())
-            _, reports, _ = partition_conflict_reports(paths, part, grid)
+            _, reports, _ = partition_conflict_reports(paths, part)
             assert nonempty({pid: r.pairs for pid, r in reports.items()}) == (
                 brute_partition_pairs(paths, part.locate, latest)
             )
@@ -140,7 +155,7 @@ class TestPartitionReports:
             straight_path(1, [(3, 2), (2, 2), (1, 2)]),
             straight_path(2, [(2, 1), (2, 2), (2, 3)]),
         ]
-        reports = reports_by_partition(paths, part, grid, horizon=2)
+        reports = reports_by_partition(paths, part, horizon=2)
         assert reports == {0: {(0, 1), (0, 2), (1, 2)}}
         assert nonempty(reports) == brute_partition_pairs(paths, part.locate, 2)
 
@@ -157,7 +172,7 @@ class TestPartitionReports:
             straight_path(1, [(5, 3), (6, 3)]),
             straight_path(2, [(6, 3), (5, 3)]),
         ]
-        reports = reports_by_partition(paths, part, grid, horizon=1)
+        reports = reports_by_partition(paths, part, horizon=1)
         everyone = {(0, 1), (0, 2), (1, 2)}
         assert reports == {pid: everyone for pid in {part.locate((5, 3)), part.locate((6, 3))}}
         assert nonempty(reports) == brute_partition_pairs(paths, part.locate, 1)
@@ -169,7 +184,7 @@ class TestDetectConflicts:
         part = Partitioning.for_map(grid, 1)
         a = straight_path(0, [(1, 2), (2, 2)])
         b = straight_path(1, [(3, 2), (2, 2)])
-        segs = split_path(a, part, grid) + split_path(b, part, grid)
+        segs = split_path(a, part) + split_path(b, part)
         report = detect_conflicts_in_partition(segs, horizon=1)
         assert report.pairs == {(0, 1)}
 
@@ -178,7 +193,7 @@ class TestDetectConflicts:
         part = Partitioning.for_map(grid, 1)
         a = straight_path(0, [(0, 0), (1, 0)])
         b = straight_path(1, [(1, 0), (0, 0)])
-        segs = split_path(a, part, grid) + split_path(b, part, grid)
+        segs = split_path(a, part) + split_path(b, part)
         assert detect_conflicts_in_partition(segs, horizon=1).pairs == {(0, 1)}
 
     def test_goal_stay_extension(self):
@@ -186,7 +201,7 @@ class TestDetectConflicts:
         part = Partitioning.for_map(grid, 1)
         a = straight_path(0, [(3, 2), (3, 3)])  # parks on (3, 3) at t=1
         b = straight_path(1, [(0, 3), (1, 3), (2, 3), (3, 3), (4, 3)])  # passes at t=3
-        segs = split_path(a, part, grid) + split_path(b, part, grid)
+        segs = split_path(a, part) + split_path(b, part)
         report = detect_conflicts_in_partition(segs, horizon=4)
         assert report.pairs == {(0, 1)}  # no shared explicit state, only the stay
 
@@ -196,7 +211,7 @@ class TestDetectConflicts:
         a = straight_path(0, [(3, 2), (3, 3)])
         b = straight_path(1, [(0, 3), (1, 3), (2, 3), (3, 3), (4, 3)])
         report = detect_conflicts_in_partition(
-            split_path(a, part, grid) + split_path(b, part, grid), horizon=2
+            split_path(a, part) + split_path(b, part), horizon=2
         )
         assert report.pairs == frozenset()  # visit at t=3 lies past the cap
 
@@ -205,7 +220,7 @@ class TestDetectConflicts:
         part = Partitioning.for_map(grid, 1)
         a = straight_path(0, [(0, 3), (1, 3), (2, 3), (3, 3)])  # parks on (3, 3) at t=3
         b = straight_path(1, [(3, 7), (3, 6), (3, 5), (3, 4), (3, 3)])  # parks there at t=4
-        segs = split_path(a, part, grid) + split_path(b, part, grid)
+        segs = split_path(a, part) + split_path(b, part)
         for horizon, expected in ((2, set()), (4, {(0, 1)})):
             report = detect_conflicts_in_partition(segs, horizon=horizon)
             assert report.pairs == expected
@@ -216,7 +231,7 @@ class TestDetectConflicts:
         part = Partitioning.for_map(grid, 4)  # boundary between x=5 and x=6
         a = straight_path(0, [(5, 3), (6, 3)])
         b = straight_path(1, [(6, 3), (5, 3)])
-        _, reports, _ = partition_conflict_reports([a, b], part, grid)
+        _, reports, _ = partition_conflict_reports([a, b], part)
         seen = set()
         for rep in reports.values():
             seen |= rep.pairs
@@ -236,7 +251,7 @@ class TestIntersectionGraph:
             straight_path(2, [(9, y) for y in range(1, 8)]),     # vertical line x=9
             straight_path(3, [(x, 4) for x in range(6, 12)]),    # horizontal line y=4
         ]
-        ig = build_intersection_graph(paths, part, grid)
+        ig = build_intersection_graph(paths, part)
         assert ig.nodes == (0, 1, 2, 3)
         assert ig.edges == {(0, 1), (2, 3)}
 
@@ -248,7 +263,7 @@ class TestIntersectionGraph:
             straight_path(1, [(0, 7), (1, 7)]),
             straight_path(2, [(7, 0), (7, 1)]),
         ]
-        ig = build_intersection_graph(paths, part, grid)
+        ig = build_intersection_graph(paths, part)
         assert ig.edges == frozenset()
 
     @pytest.mark.parametrize("n_parts", [1, 4, 7, 10])
@@ -258,7 +273,7 @@ class TestIntersectionGraph:
             grid = generate_random_map(10, 10, 0.1, seed=int(rng.integers(1 << 30)))
             part = Partitioning.for_map(grid, n_parts)
             paths = [random_timed_path(rng, grid, a, max_len=14) for a in range(8)]
-            ig = build_intersection_graph(paths, part, grid)
+            ig = build_intersection_graph(paths, part)
             assert set(ig.edges) == brute_conflict_pairs(paths)
 
 

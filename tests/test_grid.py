@@ -100,27 +100,25 @@ def city_map(side=256, block=12, street=8):
 
 class TestDownsample:
     def test_all_free(self):
-        grid = GridMap(4, 4)
-        for rule in ("majority", "any-obstacle"):
-            small = downsample_map(grid, 2, 2, rule)
-            assert small == GridMap(2, 2)
+        assert downsample_map(GridMap(4, 4), 2, 2) == GridMap(2, 2)
 
     def test_rule_definitions(self):
         grid = GridMap(2, 2, frozenset({(0, 0)}))
-        assert downsample_map(grid, 1, 1, "majority").obstacles == frozenset()
-        assert downsample_map(grid, 1, 1, "any-obstacle").obstacles == {(0, 0)}
+        assert downsample_map(grid, 1, 1).obstacles == frozenset()
         half = GridMap(2, 2, frozenset({(0, 0), (1, 1)}))
-        assert downsample_map(half, 1, 1, "majority").obstacles == {(0, 0)}
+        assert downsample_map(half, 1, 1).obstacles == {(0, 0)}
 
     def test_preimage_blocks_match_integer_cuts(self):
-        # block boundaries must follow x -> x * target // source
-        grid = GridMap(7, 5, frozenset({(6, 4)}))
-        small = downsample_map(grid, 3, 2, "any-obstacle")
-        assert small.obstacles == {(6 * 3 // 7, 4 * 2 // 5)}
+        # block boundaries must follow x -> x * target // source: columns
+        # 5-6 and rows 3-4 form the 2x2 preimage of target cell (2, 1), and
+        # two obstacles there are half of it
+        grid = GridMap(7, 5, frozenset({(5, 3), (6, 4)}))
+        small = downsample_map(grid, 3, 2)
+        assert small.obstacles == {(5 * 3 // 7, 3 * 2 // 5)} == {(6 * 3 // 7, 4 * 2 // 5)}
 
     def test_city_map_free_fraction_preserved(self):
         grid = city_map()
-        small = downsample_map(grid, 100, 100, "majority")
+        small = downsample_map(grid, 100, 100)
         src_frac = grid.n_free / (grid.width * grid.height)
         dst_frac = small.n_free / (small.width * small.height)
         assert abs(src_frac - dst_frac) <= 0.05
@@ -131,8 +129,6 @@ class TestDownsample:
             downsample_map(grid, 0, 2)
         with pytest.raises(ValueError):
             downsample_map(grid, 5, 4)
-        with pytest.raises(ValueError):
-            downsample_map(grid, 2, 2, "nonsense")
 
 
 class TestBalancedFactorization:

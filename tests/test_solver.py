@@ -28,6 +28,7 @@ from mapfkit import (
     validate_solution,
 )
 
+import mapfkit.search
 import mapfkit.solver
 from oracles import time_expanded_shortest
 
@@ -337,7 +338,7 @@ class TestSolveVariant:
             TimedPath(a, tuple((x, y, t) for t, (x, y) in enumerate(astar_static(grid, s, g))))
             for a, (s, g) in enumerate(inst.agents)
         ]
-        ig = build_intersection_graph(paths, part, grid)
+        ig = build_intersection_graph(paths, part)
         assert ig.edges == {(0, 1), (2, 3)}
         assert splits == [0, 1, 2, 3]
         holding = sorted({part.locate(c) for path in paths for c in path.cells()})
@@ -351,6 +352,29 @@ class TestSolveVariant:
         assert [sorted(c) for c in checks] == [
             [pid] for rec in trace.iterations for pid in rec.detect_seconds
         ]
+
+    def test_round_steps_called_through_solver_names(self, monkeypatch):
+        # the independent set and the path bits of every round are looked up
+        # as mapfkit.solver's names, so a wrapper there sees each round's
+        # graph, chosen agents and upload bits
+        calls, bits = [], []
+        choose = mapfkit.solver.independent_set
+        path_bits = mapfkit.solver.iteration_path_bits
+
+        def counted_choose(g):
+            chosen = choose(g)
+            calls.append((g.nodes, chosen))
+            return chosen
+
+        def counted_bits(*args):
+            bits.append(path_bits(*args))
+            return bits[-1]
+
+        monkeypatch.setattr(mapfkit.solver, "independent_set", counted_choose)
+        monkeypatch.setattr(mapfkit.solver, "iteration_path_bits", counted_bits)
+        _, trace = solve_variant(crossing_pairs_instance())
+        assert calls == [(rec.ig.nodes, set(rec.independent)) for rec in trace.iterations]
+        assert bits == [it.path_bits for it in trace.ledger.iterations] == [190, 90]
 
     def test_round_stops_at_first_failed_search(self, monkeypatch):
         # two walled-off corridors, each with a head-on pair: round one fixes
@@ -444,17 +468,32 @@ class TestBoundedSearch:
         assert space_time_astar(inst.grid, (0, 0), (49, 49), rt, agent=1) is None
         assert time.perf_counter() - t0 < 0.5
 
-    def test_timeout_cuts_a_long_search(self):
+    def test_timeout_cuts_a_long_search(self, monkeypatch):
+        # mapfkit.solver's clock stands still, and every read of the
+        # search's clock moves both on by 0.01 s, so the budget runs out at
+        # the 11th deadline check inside agent 1's search, whatever the real
+        # clock reads. Unbounded, that search reads its clock 76 times
         inst = late_gap_instance()
+        now = [0.0]
+        reads = []
+
+        def search_clock():
+            reads.append(now[0])
+            now[0] += 0.01
+            return now[0]
+
+        monkeypatch.setattr(mapfkit.solver, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(mapfkit.search, "time", SimpleNamespace(perf_counter=search_clock))
         for solve in (
             lambda: solve_hca(inst, [0, 1], timeout=0.1),
             lambda: solve_variant(inst, timeout=0.1),
         ):
-            t0 = time.perf_counter()
+            now[0] = 0.0
+            reads.clear()
             with pytest.raises(SolveTimeout) as exc:
                 solve()
-            assert time.perf_counter() - t0 < 0.5
             assert exc.value.agent == 1
+            assert len(reads) == 11
 
     def test_timeout_checked_before_every_search(self, monkeypatch):
         # mapfkit.solver's clock stands still except that each search moves
