@@ -35,7 +35,7 @@ for path in paths:
 # (2) The one conflict pipeline, the step every solve_variant round runs:
 #     split every path, group the segments by partition, and let each
 #     partition report the colliding pairs it can see locally.
-_, reports, _ = partition_conflict_reports(paths, part)
+_, reports, _, _ = partition_conflict_reports(paths, part)
 for pid, report in reports.items():
     print(f"partition {pid} reports: {sorted(report.pairs) or 'nothing'}")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from operator import ne
 
@@ -193,10 +193,14 @@ class IntersectionGraph:
 def connected_components(g: IntersectionGraph) -> list[tuple[int, ...]]:
     """Connected components as sorted node tuples, singletons included,
     ordered by smallest member."""
-    adj = g.adjacency()
+    return _components(g.nodes, g.adjacency())
+
+
+def _components(nodes: Iterable[int], adj: Mapping[int, Set[int]]) -> list[tuple[int, ...]]:
+    """``connected_components`` of the graph with adjacency ``adj``."""
     seen: set[int] = set()
     components = []
-    for node in sorted(g.nodes):
+    for node in sorted(nodes):
         if node in seen:
             continue
         comp = []

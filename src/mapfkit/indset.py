@@ -8,9 +8,10 @@ at least one agent per round.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Collection, Mapping, Set
 
-from .conflicts import IntersectionGraph, connected_components
+from .conflicts import IntersectionGraph, _components
 
 # Largest component solved exactly; larger ones go to the greedy pass.
 EXACT_THRESHOLD = 10
@@ -49,13 +50,25 @@ def mis_exact(nodes: Collection[int], adj: Mapping[int, Set[int]]) -> set[int]:
 
 def mis_greedy(nodes: Collection[int], adj: Mapping[int, Set[int]]) -> set[int]:
     """Maximal independent set via minimum-degree greedy: repeatedly take the
-    lowest-degree node (smallest id on ties) and discard its neighbors.
-    ``nodes`` and ``adj`` are as for ``mis_exact``."""
-    remaining = set(nodes)
+    node with the fewest remaining neighbours (smallest id on ties) and
+    discard its neighbours. ``nodes`` and ``adj`` are as for ``mis_exact``.
+
+    The remaining nodes sit in a heap of ``(degree, id)`` entries. A node
+    whose degree drops gets a new entry; its old ones stay in the heap and
+    are skipped when they surface, since their degree is no longer the
+    node's. Degrees only fall, so a node's current entry is its smallest,
+    and the first live entry popped is the minimum over the remaining
+    nodes, as a full scan would find it.
+    """
     degree = {n: len(adj[n]) for n in nodes}
+    heap = [(d, n) for n, d in degree.items()]
+    heapq.heapify(heap)
+    remaining = set(nodes)
     chosen: set[int] = set()
-    while remaining:
-        v = min(remaining, key=lambda n: (degree[n], n))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v not in remaining or d != degree[v]:
+            continue  # a stale entry
         chosen.add(v)
         dropped = (adj[v] & remaining) | {v}
         remaining -= dropped
@@ -63,15 +76,17 @@ def mis_greedy(nodes: Collection[int], adj: Mapping[int, Set[int]]) -> set[int]:
             for w in adj[u]:
                 if w in remaining:
                     degree[w] -= 1
+                    heapq.heappush(heap, (degree[w], w))
     return chosen
 
 
 def independent_set(g: IntersectionGraph) -> set[int]:
     """Union over connected components of the exact solution (components up
-    to ``EXACT_THRESHOLD`` nodes) or the greedy approximation (larger)."""
+    to ``EXACT_THRESHOLD`` nodes) or the greedy approximation (larger). One
+    adjacency map serves the components and both solvers."""
     adj = g.adjacency()
     result: set[int] = set()
-    for comp in connected_components(g):
+    for comp in _components(g.nodes, adj):
         if len(comp) <= EXACT_THRESHOLD:
             result |= mis_exact(comp, adj)
         else:

@@ -180,30 +180,86 @@ class ReservationTable:
 
     def insert_path(self, path: TimedPath) -> None:
         """Reserve every state, both directions of every traversed edge, and
-        an indefinite stay on the final cell. Conflicting paths are rejected;
-        feasibility is the planner's job."""
-        ids = self._path_ids(path)
-        conflict = self._conflict(path, ids)
-        if conflict is not None:
-            raise PathConflictError(
-                f"agent {path.agent} path conflicts with reservations: {conflict}"
-            )
-        a = self.area
-        vertices, edges, last_vertex = self.vertices, self.edges, self._last_vertex
-        t = path.start_time
-        prev = ids[0]
-        for c in ids:
-            vertices.add(t * a + c)
+        an indefinite stay on the final cell. Conflicting paths, and paths
+        that leave the map, are rejected; feasibility is the planner's job.
+
+        One pass checks and reserves. The goal-clear test reads only the old
+        table, so it runs first. Then each state is checked to lie on the
+        map, its vertex key is tested against ``vertices`` and
+        ``goal_stays``, and the move into it against ``edges``, before they
+        are added. On the first clash the path's reservations so far are
+        undone, and the error is the one a check of the whole path on the
+        restored table gives (see ``_reject``): a rejected path leaves the
+        table as it was.
+        """
+        states = path.states
+        w, h, a = self.width, self.height, self.area
+        last_vertex, stays = self._last_vertex, self.goal_stays
+        gx, gy, gt = states[-1]
+        if 0 <= gx < w and 0 <= gy < h:
+            goal = gy * w + gx
+            if stays[goal] != NO_STAY or last_vertex.get(goal, -1) >= gt:
+                self._reject(path, path.start_time)  # the goal is not clear from gt on
+        vertices, edges = self.vertices, self.edges
+        x, y, _ = states[0]
+        prev = y * w + x
+        prev_key = 0  # the vertex key of the state before, read after a move
+        for x, y, t in states:
+            if not (0 <= x < w and 0 <= y < h):
+                self._reject(path, t)
+            c = y * w + x
+            key = t * a + c
+            if key in vertices or stays[c] <= t:
+                self._reject(path, t)
+            if c != prev:
+                # the keys of prev -> c and of c -> prev during [t - 1, t]
+                move = prev_key * a + c
+                if move in edges:
+                    self._reject(path, t)
+                edges.add(move)
+                edges.add((prev_key - prev + c) * a + prev)
+            vertices.add(key)
             if last_vertex.get(c, -1) < t:
                 last_vertex[c] = t
-            if c != prev:
-                edges.add(((t - 1) * a + prev) * a + c)
-                edges.add(((t - 1) * a + c) * a + prev)
             prev = c
-            t += 1
-        t -= 1
-        self.goal_stays[prev] = t
-        self.last_time = max(self.last_time, t)
+            prev_key = key
+        stays[prev] = gt
+        self.last_time = max(self.last_time, gt)
+
+    def _reject(self, path: TimedPath, end: int) -> None:
+        """Take back what ``insert_path`` reserved for the states of ``path``
+        before time ``end``, all of them on the map, and raise the error a
+        check of the whole path gives: ValueError for a state off the map,
+        else PathConflictError with the message of ``path_conflict``.
+
+        The states' vertex keys and the edge keys of the moves between them
+        are removed; none of them was reserved before, since each was tested
+        first. ``_last_vertex`` of the cells they touched is then rebuilt
+        from ``vertices`` by the rule ``insert_path`` applies. That scans the
+        whole table, which only a rejected path pays for.
+        """
+        w, a = self.width, self.area
+        vertices, edges, last_vertex = self.vertices, self.edges, self._last_vertex
+        touched = set()
+        x, y, _ = path.states[0]
+        prev = y * w + x
+        for x, y, t in path.states[: end - path.start_time]:
+            c = y * w + x
+            vertices.remove(t * a + c)
+            if c != prev:
+                edges.remove(((t - 1) * a + prev) * a + c)
+                edges.remove(((t - 1) * a + c) * a + prev)
+            touched.add(c)
+            prev = c
+        if touched:
+            for c in touched:
+                last_vertex.pop(c, None)
+            for key in vertices:
+                t, c = divmod(key, a)
+                if c in touched and last_vertex.get(c, -1) < t:
+                    last_vertex[c] = t
+        conflict = self.path_conflict(path)
+        raise PathConflictError(f"agent {path.agent} path conflicts with reservations: {conflict}")
 
 
 class ReverseResumableAStar:

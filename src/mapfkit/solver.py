@@ -151,16 +151,20 @@ class IterationRecord:
     ig: IntersectionGraph
     independent: tuple[int, ...]
     search_seconds: dict[int, float]
+    split_seconds: dict[int, float]
     detect_seconds: dict[int, float]
     server_seconds: float
 
     @property
     def parallel_seconds(self) -> float:
-        """Round latency under ideal parallelism: slowest search, then the
-        slowest partition check, then the serial server work."""
-        slowest_search = max(self.search_seconds.values(), default=0.0)
+        """Round latency under ideal parallelism: the slowest agent's search
+        plus the split of its own path, then the slowest partition check,
+        then the serial server work."""
+        slowest_agent = max(
+            (s + self.split_seconds[a] for a, s in self.search_seconds.items()), default=0.0
+        )
         slowest_detect = max(self.detect_seconds.values(), default=0.0)
-        return slowest_search + slowest_detect + self.server_seconds
+        return slowest_agent + slowest_detect + self.server_seconds
 
 
 @dataclass
@@ -170,10 +174,10 @@ class SolveTrace:
     A restarted solve keeps the rounds of every failed attempt: their
     searches ran and their bits were sent, so the ideal time and the ledger
     count them. A restart's round one reuses the first attempt's candidates
-    and graph, so it runs no search and no partition check, and sends
-    nothing that the server does not hold already. Its record has no search
-    or detect seconds, only its own server step, and its ledger entry is
-    ``IterationComm(0, 0, 0)``.
+    and graph, so it runs no search, no split and no partition check, and
+    sends nothing that the server does not hold already. Its record has no
+    search, split or detect seconds, only its own server step, and its
+    ledger entry is ``IterationComm(0, 0, 0)``.
     """
 
     iterations: list[IterationRecord] = field(default_factory=list)
@@ -190,17 +194,24 @@ class SolveTrace:
 
 def partition_conflict_reports(
     paths: Iterable[TimedPath], part: Partitioning
-) -> tuple[dict[int, list[SubpathSegment]], dict[int, ConflictReport], dict[int, float]]:
+) -> tuple[
+    dict[int, list[SubpathSegment]], dict[int, ConflictReport], dict[int, float], dict[int, float]
+]:
     """A round's conflict step: split every path over ``part``, group the
     segments by partition, and check each partition that holds one, up to the
     latest arrival. Returns the segments by partition (every path's segments,
     each once, in path order within a partition), the reports by increasing
-    partition id, and each check's own seconds; the split is untimed. The
-    ``conflicts`` primitives are called through this module's names."""
+    partition id, the seconds of each agent's split, and each check's own
+    seconds. The ``conflicts`` primitives are called through this module's
+    names."""
     paths = list(paths)
     by_partition: dict[int, list[SubpathSegment]] = {}
+    split_seconds: dict[int, float] = {}
     for path in paths:
-        for seg in split_path(path, part):
+        t0 = time.perf_counter()
+        segments = split_path(path, part)
+        split_seconds[path.agent] = time.perf_counter() - t0
+        for seg in segments:
             by_partition.setdefault(seg.partition, []).append(seg)
     horizon = max((p.arrival_time for p in paths), default=0)
     reports: dict[int, ConflictReport] = {}
@@ -209,7 +220,7 @@ def partition_conflict_reports(
         t0 = time.perf_counter()
         reports[pid] = detect_conflicts_in_partition(by_partition[pid], horizon)
         detect_seconds[pid] = time.perf_counter() - t0
-    return by_partition, reports, detect_seconds
+    return by_partition, reports, split_seconds, detect_seconds
 
 
 def _merge(nodes: Iterable[int], reports: dict[int, ConflictReport]) -> IntersectionGraph:
@@ -361,9 +372,11 @@ def solve_variant(
     ``solve_hca``: SolveTimeout names the agent about to be searched, or the
     one whose search was cut. A NaN ``timeout`` raises ValueError.
 
-    The searches and partition checks of a round are independent, so the
-    round's ideal parallel latency is built from their times. They run one
-    after another, each timed on its own with nothing contending.
+    The searches, the splits of each agent's own path and the partition
+    checks of a round are independent, so the round's ideal parallel
+    latency is built from their times (see
+    ``IterationRecord.parallel_seconds``). They run one after another, each
+    timed on its own with nothing contending.
     """
     _check_timeout(timeout)
     grid = instance.grid
@@ -401,6 +414,7 @@ def _variant_attempt(
             # a restart's round one: the first attempt's candidates and graph
             first = trace.iterations[0]
             candidates, ig = first.candidate_paths, first.ig
+            split_seconds: dict[int, float] = {}
             detect_seconds: dict[int, float] = {}
             comm_entry = IterationComm(0, 0, 0)
             server0 = time.perf_counter()
@@ -411,7 +425,7 @@ def _variant_attempt(
                 candidates[agent] = _plan(instance, agent, rt, heuristics[agent], deadline, timeout)
                 search_seconds[agent] = time.perf_counter() - t0
 
-            segments, reports, detect_seconds = partition_conflict_reports(
+            segments, reports, split_seconds, detect_seconds = partition_conflict_reports(
                 candidates.values(), part
             )
 
@@ -434,6 +448,7 @@ def _variant_attempt(
                 ig=ig,
                 independent=chosen,
                 search_seconds=search_seconds,
+                split_seconds=split_seconds,
                 detect_seconds=detect_seconds,
                 server_seconds=server_seconds,
             )

@@ -189,6 +189,19 @@ def max_independent_set_size(nodes, edges):
     return best
 
 
+def min_degree_greedy(nodes, adj):
+    """Minimum-degree greedy by a full scan per pick: take the remaining
+    node with the fewest remaining neighbours, the smallest id on ties,
+    and drop it and its neighbours. The reference for ``mis_greedy``."""
+    remaining = set(nodes)
+    chosen = set()
+    while remaining:
+        v = min(remaining, key=lambda n: (len(adj[n] & remaining), n))
+        chosen.add(v)
+        remaining -= adj[v] | {v}
+    return chosen
+
+
 def union_find_components(nodes, edges):
     """Connected components via union-find, as sorted tuples."""
     parent = {n: n for n in nodes}

@@ -140,7 +140,7 @@ class TestPartitionReports:
                 expected = brute_partition_pairs(paths, part.locate, horizon)
                 assert nonempty(reports_by_partition(paths, part, horizon)) == expected
                 filed += sum(len(pairs) for pairs in expected.values())
-            _, reports, _ = partition_conflict_reports(paths, part)
+            _, reports, _, _ = partition_conflict_reports(paths, part)
             assert nonempty({pid: r.pairs for pid, r in reports.items()}) == (
                 brute_partition_pairs(paths, part.locate, latest)
             )
@@ -231,7 +231,7 @@ class TestDetectConflicts:
         part = Partitioning.for_map(grid, 4)  # boundary between x=5 and x=6
         a = straight_path(0, [(5, 3), (6, 3)])
         b = straight_path(1, [(6, 3), (5, 3)])
-        _, reports, _ = partition_conflict_reports([a, b], part)
+        _, reports, _, _ = partition_conflict_reports([a, b], part)
         seen = set()
         for rep in reports.values():
             seen |= rep.pairs

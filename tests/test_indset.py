@@ -3,7 +3,7 @@ import pytest
 
 from mapfkit import EXACT_THRESHOLD, IntersectionGraph, independent_set, mis_exact, mis_greedy
 
-from oracles import max_independent_set_size
+from oracles import max_independent_set_size, min_degree_greedy
 
 
 def component(nodes, edges):
@@ -83,6 +83,40 @@ class TestGreedy:
             result = mis_greedy(*g)
             assert is_independent(nodes, edges, result)
             assert is_maximal(nodes, edges, result)
+
+    @pytest.mark.parametrize(
+        "nodes, edges, expected",
+        [
+            # a 6-cycle: every degree ties at first, so 0 goes, then 2, then 4
+            (range(6), {(i, (i + 1) % 6) for i in range(6)}, {0, 2, 4}),
+            # a path 0-1-2-3: the ends tie at degree 1, and after 0 goes,
+            # 2 and 3 tie again
+            (range(4), {(0, 1), (1, 2), (2, 3)}, {0, 2}),
+            # two triangles joined by the edge 12-13: 10 goes and takes 12
+            # with it, so 13 falls to degree 2 and ties with 14 and 15
+            ([10, 11, 12, 13, 14, 15], {(10, 11), (11, 12), (10, 12), (12, 13),
+                                        (13, 14), (14, 15), (13, 15)}, {10, 13}),
+            # 3 goes first, at degree 1; then 5 falls to degree 1 and goes
+            # before 0 and 1, which tie once 2 is gone
+            (range(6), {(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (2, 5)}, {0, 3, 5}),
+        ],
+    )
+    def test_degree_ties_go_to_the_smallest_id(self, nodes, edges, expected):
+        g = component(list(nodes), edges)
+        assert min_degree_greedy(*g) == expected
+        assert mis_greedy(*g) == expected
+
+    def test_matches_the_full_scan(self):
+        # the heap pops the node a full scan would pick, every time
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            n = int(rng.integers(1, 61))
+            nodes, edges = random_graph(rng, n, p=float(rng.uniform(0.0, 0.5)))
+            labels = [int(x) for x in rng.choice(1000, size=n, replace=False)]
+            nodes = tuple(labels[i] for i in nodes)
+            edges = {(labels[a], labels[b]) for a, b in edges}
+            g = component(nodes, edges)
+            assert mis_greedy(*g) == min_degree_greedy(*g)
 
 
 class TestIndependentSet:

@@ -222,6 +222,108 @@ class TestReservationTable:
         assert rt.vertices == set() and rt.edges == set()
 
 
+def table_state(rt):
+    """Everything a reservation table holds, as plain comparable values."""
+    return (set(rt.vertices), set(rt.edges), list(rt.goal_stays), dict(rt._last_vertex), rt.last_time)
+
+
+def clash_table():
+    """Agent 0 crosses row 1 of a 6x4 map and parks on (5, 1) from t=5;
+    agent 1 climbs column 4 and parks on (4, 0) from t=3."""
+    rt = ReservationTable(GridMap(6, 4))
+    rt.insert_path(TimedPath(0, tuple((x, 1, x) for x in range(6))))
+    rt.insert_path(TimedPath(1, ((4, 3, 0), (4, 2, 1), (4, 1, 2), (4, 0, 3))))
+    return rt
+
+
+class TestOnePassInsert:
+    """``insert_path`` checks and reserves in one pass: a rejected path must
+    raise the message ``path_conflict`` gives and leave the table as it
+    was, wherever on the path the clash is."""
+
+    @pytest.mark.parametrize(
+        "states, conflict",
+        [
+            # vertex: at the first state, in the middle, at the last
+            (((0, 1, 0), (0, 0, 1), (0, 0, 2)), "vertex (0, 1) at t=0"),
+            (((2, 3, 0), (2, 2, 1), (2, 1, 2), (2, 0, 3), (1, 0, 4)), "vertex (2, 1) at t=2"),
+            (((3, 3, 0), (3, 3, 1), (3, 2, 2), (3, 1, 3)), "vertex (3, 1) at t=3"),
+            # swap: on the first move, a middle one, the last
+            (((1, 1, 0), (0, 1, 1), (0, 0, 2)), "edge (1, 1)->(0, 1) at t=0"),
+            (((3, 0, 0), (3, 0, 1), (3, 1, 2), (2, 1, 3), (2, 0, 4)), "edge (3, 1)->(2, 1) at t=2"),
+            (
+                ((5, 0, 0), (5, 0, 1), (5, 0, 2), (5, 0, 3), (5, 1, 4), (4, 1, 5)),
+                "edge (5, 1)->(4, 1) at t=4",
+            ),
+            # onto a goal stay: at the first state, in the middle, at the last
+            (((4, 0, 5), (3, 0, 6)), "vertex (4, 0) at t=5"),
+            (((3, 0, 4), (4, 0, 5), (5, 0, 6), (5, 0, 7)), "vertex (4, 0) at t=5"),
+            (((5, 3, 5), (5, 2, 6), (5, 1, 7)), "vertex (5, 1) at t=7"),
+            # parking where a fixed path passes or parks later
+            (((3, 1, 1),), "goal stay at (3, 1) from t=1"),
+            (((2, 2, 0), (3, 2, 1), (3, 1, 2)), "goal stay at (3, 1) from t=2"),
+            (((5, 3, 1), (5, 2, 2), (5, 1, 3)), "goal stay at (5, 1) from t=3"),
+        ],
+    )
+    def test_rejected_path_leaves_the_table(self, states, conflict):
+        rt = clash_table()
+        before = table_state(rt)
+        path = TimedPath(9, states)
+        assert rt.path_conflict(path) == conflict
+        with pytest.raises(PathConflictError) as exc:
+            rt.insert_path(path)
+        assert str(exc.value) == f"agent 9 path conflicts with reservations: {conflict}"
+        assert table_state(rt) == before
+        # the same path fits once the clash is gone
+        ReservationTable(GridMap(6, 4)).insert_path(path)
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            ((0, 3, 0), (0, 2, 1), (-1, 2, 2)),
+            # a clash before the state off the map does not hide it
+            ((1, 2, 0), (1, 1, 1), (1, 0, 2), (1, -1, 3)),
+            # nor does a goal that is off the map
+            ((5, 3, 0), (6, 3, 1)),
+        ],
+    )
+    def test_off_the_map_leaves_the_table(self, states):
+        rt = clash_table()
+        before = table_state(rt)
+        with pytest.raises(ValueError, match="leaves the 6x4 map at") as exc:
+            rt.insert_path(TimedPath(9, states))
+        assert not isinstance(exc.value, PathConflictError)
+        assert table_state(rt) == before
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_random_inserts_match_path_conflict(self, seed):
+        # a path is rejected exactly when path_conflict names a clash, with
+        # its message, and what stays is the table of the accepted paths
+        rng = np.random.default_rng(seed)
+        rejected = 0
+        for _ in range(150):
+            grid = GridMap(int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+            rt = ReservationTable(grid)
+            accepted = []
+            for agent in range(int(rng.integers(1, 10))):
+                start = int(rng.integers(0, 4))
+                path = random_timed_path(rng, grid, agent, max_len=12, start_t=start)
+                conflict = rt.path_conflict(path)
+                if conflict is None:
+                    rt.insert_path(path)
+                    accepted.append(path)
+                    continue
+                rejected += 1
+                with pytest.raises(PathConflictError) as exc:
+                    rt.insert_path(path)
+                assert str(exc.value).endswith(f"reservations: {conflict}")
+            rebuilt = ReservationTable(grid)
+            for path in accepted:
+                rebuilt.insert_path(path)
+            assert table_state(rt) == table_state(rebuilt)
+        assert rejected > 300  # the rejections are the point of the test
+
+
 class TestSpaceTimeAstar:
     def test_reduces_to_astar_without_reservations(self):
         grid = GridMap(3, 1)

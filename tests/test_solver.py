@@ -429,9 +429,50 @@ class TestSolveVariant:
         assert [r.independent for r in trace.iterations] == [(0,), (1,), (0,)]
         first, again = trace.iterations[0], trace.iterations[1]
         assert again.search_seconds == {} and again.detect_seconds == {}
+        assert again.split_seconds == {}  # nothing is split again
+        assert first.split_seconds.keys() == first.search_seconds.keys() == {0, 1}
         assert again.candidate_paths == first.candidate_paths
         assert trace.ledger.iterations[1] == IterationComm(0, 0, 0)
         assert trace.ledger.iterations[0].path_bits > 0
+
+    def test_ideal_time_counts_each_agents_own_split(self, monkeypatch):
+        # mapfkit.solver's clock moves only inside the wrapped searches,
+        # splits and partition checks. Agent 0 searches longest, but agent 1
+        # takes longest to search and split its own path, so the round's
+        # ideal time starts with agent 1's pair, as in the paper each agent
+        # splits its own path. The server step reads no time
+        grid = GridMap(8, 8)
+        inst = ProblemInstance(grid, (((0, 0), (3, 0)), ((0, 4), (3, 4))))
+        search_s, split_s, detect_s = {0: 1.0, 1: 0.5}, {0: 0.125, 1: 0.75}, 0.0625
+        search = mapfkit.solver.space_time_astar
+        split = mapfkit.solver.split_path
+        detect = mapfkit.solver.detect_conflicts_in_partition
+        now = [time.perf_counter()]
+
+        def slow_search(*args, **kwargs):
+            now[0] += search_s[kwargs["agent"]]
+            return search(*args, **kwargs)
+
+        def slow_split(path, part):
+            now[0] += split_s[path.agent]
+            return split(path, part)
+
+        def slow_detect(segments, horizon):
+            now[0] += detect_s
+            return detect(segments, horizon)
+
+        monkeypatch.setattr(mapfkit.solver, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(mapfkit.solver, "space_time_astar", slow_search)
+        monkeypatch.setattr(mapfkit.solver, "split_path", slow_split)
+        monkeypatch.setattr(mapfkit.solver, "detect_conflicts_in_partition", slow_detect)
+        _, trace = solve_variant(inst)
+        (rec,) = trace.iterations
+        assert rec.independent == (0, 1)
+        assert rec.search_seconds == pytest.approx(search_s)
+        assert rec.split_seconds == pytest.approx(split_s)
+        assert rec.server_seconds == 0.0
+        assert rec.parallel_seconds == pytest.approx(0.5 + 0.75 + detect_s)
+        assert trace.ideal_parallel_seconds == rec.parallel_seconds
 
 
 class TestBoundedSearch:
