@@ -39,7 +39,7 @@ for i, rec in enumerate(trace.iterations, start=1):
         f"fixed={list(rec.independent)}"
     )
 
-violations = validate_solution(solution.paths, grid, dict(enumerate(instance.agents)))
+violations = validate_solution(solution.paths, grid, instance.agents)
 print(f"validation: {'ok' if not violations else violations}")
 
 # (4) Parallelism is free of charge only until the agents have to talk to

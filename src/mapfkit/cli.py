@@ -182,7 +182,7 @@ def _cmd_validate(args) -> int:
         return EXIT_SOLVER
     if args.paths:
         paths = read_paths(Path(args.paths).read_text())
-        violations = validate_solution(paths, grid, dict(enumerate(instance.agents)))
+        violations = validate_solution(paths, grid, instance.agents)
         if violations:
             for v in violations:
                 print(v, file=sys.stderr)

@@ -14,7 +14,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .codec import BITS_PER_SYMBOL, ceil_log2, header_widths, path_bits
+from .codec import ceil_log2, path_bits
 
 DEFAULT_DATA_RATE = 8e7  # bits per second
 
@@ -70,13 +70,6 @@ def intersection_graph_bits(pair_counts: Iterable[int], n_agents: int) -> int:
     """Bits to report collision pairs: two agent ids per observed
     intersection, summed over reporters."""
     return 2 * ceil_log2(n_agents) * sum(pair_counts)
-
-
-def reservation_table_bits(path_lengths: Iterable[int], n_agents: int, map_side: int) -> int:
-    """Bits to broadcast the final reservation table, encoded as one
-    whole-path segment per agent (all final paths start at t=0)."""
-    header = sum(header_widths(n_agents, map_side))
-    return sum(header + BITS_PER_SYMBOL * (length + 1) for length in path_lengths)
 
 
 def comm_time(ledger: CommLedger, data_rate: float = DEFAULT_DATA_RATE) -> float:

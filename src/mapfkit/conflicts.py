@@ -15,7 +15,6 @@ all-pairs check.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from operator import ne
@@ -218,30 +217,24 @@ def _components(nodes: Iterable[int], adj: Mapping[int, Set[int]]) -> list[tuple
 
 
 def validate_solution(
-    paths: Mapping[int, TimedPath] | Iterable[TimedPath],
+    paths: Mapping[int, TimedPath],
     grid: GridMap,
-    endpoints: Mapping[int, tuple[Coord, Coord]] | Sequence[tuple[Coord, Coord]] | None = None,
+    endpoints: Sequence[tuple[Coord, Coord]] | None = None,
 ) -> list[str]:
     """Check each path and every pair under full collision semantics,
-    including indefinite goal stays up to the global makespan. Every path
-    must start at t=0, a mapping must key each path by its own agent, a
-    sequence must list each agent once, and with ``endpoints`` every listed
-    agent must have a path and every path must belong to a listed agent.
-    Returns the violations found; an empty list means the solution is
-    valid.
+    including indefinite goal stays up to the global makespan. ``paths``
+    must key each path by its own agent, every path must start at t=0, and
+    with ``endpoints``, indexed by agent id, every listed agent must have a
+    path and every path must belong to a listed agent. Returns the
+    violations found; an empty list means the solution is valid.
     """
-    if isinstance(paths, Mapping):
-        items = list(paths.values())
-        violations = [
-            f"agent {k}: path belongs to agent {p.agent}" for k, p in paths.items() if k != p.agent
-        ]
-    else:
-        items = list(paths)
-        counts = Counter(p.agent for p in items)
-        violations = [f"agent {a}: listed twice" for a, n in counts.items() if n > 1]
+    items = list(paths.values())
+    violations = [
+        f"agent {k}: path belongs to agent {p.agent}" for k, p in paths.items() if k != p.agent
+    ]
     if endpoints is not None:
         have = {path.agent for path in items}
-        listed = endpoints.keys() if isinstance(endpoints, Mapping) else range(len(endpoints))
+        listed = range(len(endpoints))
         violations += [f"agent {a}: no path" for a in listed if a not in have]
     for path in items:
         a = path.agent

@@ -31,7 +31,7 @@ def manhattan(a: Coord, b: Coord) -> int:
 
 @dataclass(frozen=True)
 class TimedPath:
-    """One agent's timed trajectory: unit steps, waits allowed."""
+    """One agent's timed trajectory from t >= 0: unit steps, waits allowed."""
 
     agent: int
     states: tuple[TimedState, ...]
@@ -40,6 +40,8 @@ class TimedPath:
         object.__setattr__(self, "states", tuple(self.states))
         if not self.states:
             raise ValueError("a timed path needs at least one state")
+        if self.states[0][2] < 0:
+            raise ValueError(f"agent {self.agent} path starts at t={self.states[0][2]}, before t=0")
         for (x0, y0, t0), (x1, y1, t1) in zip(self.states, self.states[1:]):
             if t1 != t0 + 1:
                 raise ValueError("path times must advance by exactly 1")
@@ -140,13 +142,6 @@ class ReservationTable:
             return None
         return self._last_vertex.get(c, -1) + 1
 
-    def goal_clear_from(self, cell: Coord, t: int) -> bool:
-        """True if an agent may park on ``cell`` for every time ``>= t``: no
-        reserved stay there, and no vertex reservation or reserved edge
-        entering the cell at or after ``t``."""
-        clear = self.goal_clear_time(cell)
-        return clear is not None and clear <= t
-
     def _path_ids(self, path: TimedPath) -> list[int]:
         w, h = self.width, self.height
         ids = []
@@ -169,7 +164,8 @@ class ReservationTable:
             if src != dst and (t0 * a + src) * a + dst in edges:
                 return f"edge ({x0}, {y0})->({x1}, {y1}) at t={t0}"
         gx, gy, gt = path.states[-1]
-        if not self.goal_clear_from((gx, gy), gt):
+        clear = self.goal_clear_time((gx, gy))
+        if clear is None or clear > gt:
             return f"goal stay at ({gx}, {gy}) from t={gt}"
         return None
 

@@ -18,12 +18,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
+from .codec import path_bits
 from .comm import (
     CommLedger,
     IterationComm,
     intersection_graph_bits,
     iteration_path_bits,
-    reservation_table_bits,
     source_goal_bits,
 )
 from .conflicts import (
@@ -51,12 +51,10 @@ class InvalidInstanceError(ValueError):
 
 
 class SolveFailure(RuntimeError):
-    """A planner could not complete; ``agent`` names the blocked agent when
-    one is identifiable."""
+    """A planner could not complete; ``agent`` names the blocked agent."""
 
-    def __init__(self, reason: str, agent: int | None = None):
-        super().__init__(reason)
-        self.reason = reason
+    def __init__(self, message: str, agent: int):
+        super().__init__(message)
         self.agent = agent
 
 
@@ -457,7 +455,8 @@ def _variant_attempt(
         chosen_set = set(chosen)
         pending = [a for a in pending if a not in chosen_set]
 
-    trace.ledger.rt_bits = reservation_table_bits(
-        [fixed[i].cost for i in range(n)], n, map_side
+    # the final table goes out as one whole-path segment per agent
+    trace.ledger.rt_bits = path_bits(
+        [SubpathSegment(a, -1, p.states) for a, p in fixed.items()], n, map_side
     )
     return Solution(fixed)

@@ -164,6 +164,58 @@ def brute_partition_pairs(paths, locate, horizon):
     return filed
 
 
+def joint_min_makespan(grid, agents):
+    """Breadth-first search over joint configurations: the smallest makespan
+    at which every agent stands on its goal, or None when no joint plan
+    exists. ``agents`` lists ``(source, goal)`` pairs.
+
+    In one step every agent waits or moves to a free 4-neighbour, and no two
+    agents share a cell or swap across an edge (one may follow another). An
+    agent may pass its goal and leave it again before the makespan, as a
+    planner's path may; goals are distinct, so parked agents never clash
+    afterwards. Cutting each agent's plan at its last arrival gives paths
+    with parked goals, so this makespan is the least of any valid solution.
+    Exhaustive over at most ``free_cells ** len(agents)`` configurations.
+    """
+    steps = {}
+    for x, y in grid.free_cells():
+        nbs = ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+        steps[(x, y)] = [(x, y)] + [c for c in nbs if grid.is_free(c)]
+    start = tuple(s for s, _ in agents)
+    goal = tuple(g for _, g in agents)
+    seen = {start}
+    layer = [start]
+    makespan = 0
+    while layer:
+        if goal in seen:
+            return makespan
+        following = []
+        for conf in layer:
+            for nxt in _joint_steps(conf, steps):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    following.append(nxt)
+        layer = following
+        makespan += 1
+    return None
+
+
+def _joint_steps(conf, steps):
+    """Every configuration one step from ``conf``, built agent by agent and
+    pruned at the first vertex or swap clash."""
+    partial = [()]
+    for cell in conf:
+        longer = []
+        for head in partial:
+            # the earlier agent moving into ``cell``, if any, came from here
+            back = conf[head.index(cell)] if cell in head else None
+            for nxt in steps[cell]:
+                if nxt not in head and nxt != back:
+                    longer.append(head + (nxt,))
+        partial = longer
+    return partial
+
+
 def max_independent_set_size(nodes, edges):
     """Exhaustive subset enumeration (fine for <= ~20 nodes)."""
     nodes = sorted(nodes)

@@ -196,9 +196,7 @@ def test_criterion_06_variant_soundness_and_progress(suite100):
     solved = 0
     for inst in suite100:
         solution, trace = solve_variant(inst)
-        violations = validate_solution(
-            solution.paths, inst.grid, dict(enumerate(inst.agents))
-        )
+        violations = validate_solution(solution.paths, inst.grid, inst.agents)
         assert violations == [], violations
         assert trace.n_iterations <= 16
         solved += 1

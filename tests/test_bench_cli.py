@@ -352,6 +352,18 @@ class TestCli:
         assert code == 1
         assert "agent 0: each state must be x,y,t" in capsys.readouterr().err
 
+    def test_validate_rejects_time_before_zero(self, tmp_path, instance_files, capsys):
+        # no path starts before t=0, so such a line is a malformed file, not
+        # a violation of the solution
+        map_path, scen_path = instance_files
+        bad = tmp_path / "early.txt"
+        bad.write_text("0: 1,2,-1 1,2,0\n")
+        code = main(
+            ["validate", "--map", str(map_path), "--scen", str(scen_path), "--paths", str(bad)]
+        )
+        assert code == 1
+        assert "error: agent 0 path starts at t=-1, before t=0" in capsys.readouterr().err
+
     def test_bad_data_rate_rejected_before_solving(self, instance_files, capsys):
         map_path, scen_path = instance_files
         assert main(

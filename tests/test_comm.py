@@ -7,7 +7,7 @@ from mapfkit import (
     comm_time,
     intersection_graph_bits,
     iteration_path_bits,
-    reservation_table_bits,
+    path_bits,
     source_goal_bits,
     speedup,
 )
@@ -56,14 +56,18 @@ class TestIntersectionGraphBits:
 
 
 class TestReservationTableBits:
+    # the final table goes out as one whole-path segment per agent, priced
+    # by the codec's path_bits as solve_variant prices it
+
     def test_single_trivial_path(self):
-        assert reservation_table_bits([0], 1, 100) == 0 + 14 + 3
+        assert path_bits([seg_of_length(0, agent=0)], 1, 100) == 0 + 14 + 3
 
     def test_two_paths(self):
-        assert reservation_table_bits([10, 10], 64, 100) == 2 * (6 + 14 + 33)
+        segs = [seg_of_length(10, agent=0), seg_of_length(10, agent=1)]
+        assert path_bits(segs, 64, 100) == 2 * (6 + 14 + 33)
 
     def test_empty(self):
-        assert reservation_table_bits([], 64, 100) == 0
+        assert path_bits([], 64, 100) == 0
 
 
 class TestCommTime:

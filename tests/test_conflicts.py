@@ -304,63 +304,59 @@ class TestValidateSolution:
     def test_single_valid_path(self):
         grid = GridMap(5, 5)
         p = straight_path(0, [(0, 0), (1, 0), (2, 0)])
-        assert validate_solution([p], grid) == []
+        assert validate_solution({0: p}, grid) == []
 
     def test_swap_is_one_violation(self):
         grid = GridMap(5, 5)
         a = straight_path(0, [(0, 0), (1, 0)])
         b = straight_path(1, [(1, 0), (0, 0)])
-        violations = validate_solution([a, b], grid)
+        violations = validate_solution({0: a, 1: b}, grid)
         assert len(violations) == 1 and "swap" in violations[0]
 
     def test_vertex_and_stay_violations(self):
         grid = GridMap(5, 5)
         a = straight_path(0, [(2, 2), (2, 3)])  # parks on (2,3) at t=1
         b = straight_path(1, [(2, 4), (2, 3), (2, 3), (2, 3)])
-        violations = validate_solution([a, b], grid)
+        violations = validate_solution({0: a, 1: b}, grid)
         assert violations  # b sits on a's goal after a arrived
 
     def test_endpoint_mismatch(self):
         grid = GridMap(5, 5)
         p = straight_path(0, [(0, 0), (1, 0)])
-        violations = validate_solution({0: p}, grid, {0: ((0, 0), (2, 0))})
+        violations = validate_solution({0: p}, grid, [((0, 0), (2, 0))])
         assert any("ends at" in v for v in violations)
 
     def test_missing_path(self):
         grid = GridMap(5, 5)
         p0 = straight_path(0, [(0, 0), (1, 0)])
-        endpoints = {0: ((0, 0), (1, 0)), 1: ((4, 4), (3, 4))}
+        endpoints = [((0, 0), (1, 0)), ((4, 4), (3, 4))]
         assert validate_solution({0: p0}, grid, endpoints) == ["agent 1: no path"]
 
     def test_unknown_agent_reported(self):
         # a path for an agent the endpoints do not list is a violation, not
-        # a lookup error, whichever form the endpoints take; a negative id is
-        # not matched against an agent counted from the end
+        # a lookup error; a negative id is not matched against an agent
+        # counted from the end
         grid = GridMap(5, 5)
         p7 = straight_path(7, [(4, 4)])
-        assert validate_solution({7: p7}, grid, {0: ((0, 0), (1, 0))}) == [
-            "agent 0: no path",
-            "agent 7: not in the instance",
-        ]
-        assert validate_solution([p7], grid, [((0, 0), (1, 0))]) == [
+        assert validate_solution({7: p7}, grid, [((0, 0), (1, 0))]) == [
             "agent 0: no path",
             "agent 7: not in the instance",
         ]
         p0 = straight_path(0, [(0, 0), (1, 0)])
         p_neg = straight_path(-1, [(4, 4), (3, 4)])
         endpoints = [((0, 0), (1, 0)), ((4, 4), (3, 4))]
-        assert validate_solution([p0, p_neg], grid, endpoints) == [
+        assert validate_solution({0: p0, -1: p_neg}, grid, endpoints) == [
             "agent 1: no path",
             "agent -1: not in the instance",
         ]
 
     def test_mislabeled_paths_reported(self):
-        # a mapping keys each path by its own agent: swapped or repeated
+        # the mapping keys each path by its own agent: swapped or repeated
         # paths are reported even where endpoints and collisions look fine
         grid = GridMap(5, 5)
         p0 = straight_path(0, [(0, 0), (1, 0)])
         p1 = straight_path(1, [(4, 4), (3, 4)])
-        endpoints = {0: ((0, 0), (1, 0)), 1: ((4, 4), (3, 4))}
+        endpoints = [((0, 0), (1, 0)), ((4, 4), (3, 4))]
         assert validate_solution({0: p0, 1: p1}, grid, endpoints) == []
         assert validate_solution({0: p1, 1: p0}, grid, endpoints) == [
             "agent 0: path belongs to agent 1",
@@ -368,25 +364,14 @@ class TestValidateSolution:
         ]
         assert validate_solution({0: p0, 1: p0}, grid) == ["agent 1: path belongs to agent 0"]
 
-    def test_agent_listed_twice_reported(self):
-        # collisions skip pairs of one agent id, so only this check sees
-        # two different routes handed in for one agent
-        grid = GridMap(3, 2)
-        p = straight_path(0, [(0, 0), (1, 0), (2, 0)])
-        q = straight_path(0, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)])
-        endpoints = [((0, 0), (2, 0))]
-        assert validate_solution([p], grid, endpoints) == []
-        assert validate_solution([p, q], grid, endpoints) == ["agent 0: listed twice"]
-        assert validate_solution([p, q], grid) == ["agent 0: listed twice"]
-
     def test_late_start(self):
         # agent 1 passes (2, 0) at t=2, where agent 0 stood before it started
         grid = GridMap(5, 5)
         a = straight_path(0, [(2, 0), (2, 0)], start_t=3)
         b = straight_path(1, [(0, 0), (1, 0), (2, 0), (3, 0)])
-        assert validate_solution([a, b], grid) == ["agent 0: starts at t=3, expected t=0"]
+        assert validate_solution({0: a, 1: b}, grid) == ["agent 0: starts at t=3, expected t=0"]
 
     def test_obstacle_violation(self):
         grid = GridMap(5, 5, frozenset({(1, 0)}))
         p = straight_path(0, [(0, 0), (1, 0)])
-        assert any("blocked" in v for v in validate_solution([p], grid))
+        assert any("blocked" in v for v in validate_solution({0: p}, grid))

@@ -35,6 +35,12 @@ class TestTimedPath:
         with pytest.raises(ValueError):
             TimedPath(0, ())
 
+    def test_rejects_start_before_time_zero(self):
+        # a reservation table used to take such a path for a goal clash
+        # ("goal stay at (0, 0) from t=-2"); the path itself is the fault
+        with pytest.raises(ValueError, match=r"agent 0 path starts at t=-3, before t=0"):
+            ReservationTable(GridMap(3, 1)).insert_path(TimedPath(0, ((1, 0, -3), (0, 0, -2))))
+
 
 class TestAstarStatic:
     def test_start_equals_goal(self):
@@ -190,7 +196,10 @@ class TestReservationTable:
         assert second is not None
 
 
-    def test_goal_clear_time_matches_goal_clear_from(self):
+    def test_goal_clear_time_is_when_a_goal_fits(self):
+        # a path that ends on a cell fits from the clear time on; before it
+        # the path clashes, on a goal stay wherever its own last state is free
+        # (at ``clear - 1`` the cell's last reservation is that state)
         rng = np.random.default_rng(31)
         grid = GridMap(6, 6)
         rt = ReservationTable(grid)
@@ -198,13 +207,27 @@ class TestReservationTable:
             p = random_timed_path(rng, grid, agent, max_len=10)
             if rt.path_conflict(p) is None:
                 rt.insert_path(p)
+        goal_stays = 0
         for cell in grid.free_cells():
             clear = rt.goal_clear_time(cell)
             for t in range(rt.last_time + 3):
-                assert rt.goal_clear_from(cell, t) == (clear is not None and t >= clear)
-            if clear is not None and clear > 0:
-                assert not rt.goal_clear_from(cell, clear - 1)
-                assert rt.goal_clear_from(cell, clear)
+                found = rt.path_conflict(TimedPath(9, ((*cell, t),)))
+                if clear is not None and t >= clear:
+                    assert found is None
+                elif rt.is_vertex_free(cell, t):
+                    assert found == f"goal stay at {cell} from t={t}"
+                    goal_stays += 1
+                else:
+                    assert found == f"vertex {cell} at t={t}"
+        assert goal_stays > 0
+        # a cell crossed at t=1 and t=4 is clear from t=5, not in between
+        rt = ReservationTable(GridMap(3, 1))
+        crossing = ((0, 0, 0), (1, 0, 1), (2, 0, 2), (2, 0, 3), (1, 0, 4), (0, 0, 5))
+        rt.insert_path(TimedPath(0, crossing))
+        assert rt.goal_clear_time((1, 0)) == 5
+        for t in (2, 3):
+            assert rt.path_conflict(TimedPath(1, ((1, 0, t),))) == f"goal stay at (1, 0) from t={t}"
+        assert rt.path_conflict(TimedPath(1, ((1, 0, 5),))) is None
         # a crossing path keeps the cell busy until one step after it leaves
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(0, ((0, 1, 0), (1, 1, 1), (2, 1, 2))))
