@@ -1,5 +1,7 @@
 """Path-search core: a resumable backward search providing exact static
-distances, space-time A* against a reservation table, and plain static A*.
+distances, and space-time A* against a reservation table. Against an empty
+table, and for the static shortest path, the path is read off those
+distances instead.
 
 Time is discrete; every action (move to a 4-neighbor or wait in place) takes
 one step. A path's cost is its arrival time minus its start time, so waiting
@@ -307,13 +309,14 @@ class ReverseResumableAStar:
 
     def distance(self, cell: Coord) -> int | None:
         """Shortest static distance from ``cell`` to the goal, or None when
-        unreachable or off the map. Never recomputes settled cells."""
-        if not self.grid.in_bounds(cell):
+        unreachable, blocked or off the map. Never recomputes settled cells;
+        a blocked cell settles nothing and does not aim the search."""
+        if not self.grid.is_free(cell):
             return None
         return self._distance(self.grid.cell_id(cell))
 
     def _distance(self, cell: int) -> int | None:
-        """``distance`` of the cell with flat id ``cell``."""
+        """``distance`` of the free cell with flat id ``cell``."""
         dist = self.dist
         hit = dist[cell]
         if hit >= 0:
@@ -359,6 +362,48 @@ class ReverseResumableAStar:
         return found
 
 
+def _descend(grid: GridMap, h: ReverseResumableAStar, cell: int) -> list[int] | None:
+    """Shortest static path on ``grid`` from the free cell with flat id
+    ``cell`` to ``h``'s goal, as flat ids, or None when the goal is
+    unreachable. Each step goes to the smallest-id neighbour whose distance
+    is one less, as ``space_time_astar`` would with no reservations.
+
+    A neighbour is settled only when no cheap test decides it. A grid is
+    bipartite, so a neighbour of a cell at distance d + 1 is at d or d + 2.
+    It is at d when it is settled at d, or when its best g is d, since no
+    path to it is shorter. It is at d + 2 when its Manhattan distance to the
+    goal exceeds d, or ``h._f`` minus its Manhattan distance to the search's
+    target does: an unsettled cell's f is at least ``h._f``.
+    """
+    d = h._distance(cell)
+    if d is None:
+        return None
+    table = grid.neighbor_table
+    dist, best, settle = h.dist, h._best, h._distance
+    w = grid.width
+    gy, gx = divmod(h._goal_id, w)
+    tx, ty = h._target
+    path = [cell]
+    while d:
+        d -= 1
+        for nb in sorted(table[cell]):
+            known = dist[nb]
+            if known >= 0:
+                if known == d:
+                    break
+                continue
+            if best[nb] == d:
+                break
+            y, x = divmod(nb, w)
+            if abs(x - gx) + abs(y - gy) > d or h._f - abs(x - tx) - abs(y - ty) > d:
+                continue
+            if settle(nb) == d:
+                break
+        cell = nb
+        path.append(cell)
+    return path
+
+
 def space_time_astar(
     grid: GridMap,
     start: Coord,
@@ -379,8 +424,9 @@ def space_time_astar(
     generated, so results are reproducible.
 
     Heuristic: ``h(c, t) = max(d(c), clear - t)``, where ``d`` is the exact
-    static distance to the goal (``heuristic``, built here when omitted)
-    and ``clear`` is ``rt.goal_clear_time(goal)``. It is admissible, since
+    static distance to the goal (``heuristic``, built here when omitted for
+    this map, and rejected when built for another) and ``clear`` is
+    ``rt.goal_clear_time(goal)``. It is admissible, since
     the path needs ``d(c)`` more steps and no arrival before ``clear`` is
     accepted, and consistent, since each step or wait lowers either term by
     at most 1. So ``f = max(t + d(c), clear)``, and a goal that is busy
@@ -398,37 +444,49 @@ def space_time_astar(
     no horizon: a chain of parent links in the tail never visits a cell
     twice, so every state has ``t <= rt.last_time + area``.
 
+    Empty table: with no ``rt``, or one that holds no vertex, nothing is
+    ever reserved, so the search pops exactly the states of one path, the
+    deepest state of least f each time, smallest id first. That path is read
+    off the distances instead (``_descend``), and only the cells the read-off
+    cannot bound settle.
+
     ``deadline`` is an absolute ``time.perf_counter()`` reading. The clock
     is read every ``DEADLINE_CHECK_POPS`` pops, and ``TimeoutError`` is
     raised once it has passed; a search that pops fewer states never reads
-    it.
+    it, and the read-off against an empty table pops none.
     """
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
     if not grid.is_free(goal):
         raise ValueError(f"goal {goal} is not a free cell")
-    size = (grid.width, grid.height)
-    if rt is None:
-        rt = ReservationTable(grid)
-    elif (rt.width, rt.height) != size:
-        raise ValueError(f"reservation table was built for a {rt.width}x{rt.height} map")
-    elif not rt.is_vertex_free(start, 0):
-        raise ValueError(f"start {start} is reserved at t=0")
-    if heuristic is not None:
-        if heuristic.goal != goal:
-            raise ValueError(f"heuristic was built for goal {heuristic.goal}, not {goal}")
-        if (heuristic.grid.width, heuristic.grid.height) != size:
+    if rt is not None:
+        if (rt.width, rt.height) != (grid.width, grid.height):
+            raise ValueError(f"reservation table was built for a {rt.width}x{rt.height} map")
+        if not rt.is_vertex_free(start, 0):
+            raise ValueError(f"start {start} is reserved at t=0")
+    if heuristic is None:
+        h = ReverseResumableAStar(grid, goal)
+    else:
+        h = heuristic
+        if h.goal != goal:
+            raise ValueError(f"heuristic was built for goal {h.goal}, not {goal}")
+        if h.grid is not grid and h.grid != grid:
             raise ValueError(
-                f"heuristic was built for a {heuristic.grid.width}x{heuristic.grid.height} map"
+                f"heuristic was built for another map, {h.grid.width}x{h.grid.height}"
+                f" with {len(h.grid.obstacles)} obstacles"
             )
+    w = grid.width
+    start_id = grid.cell_id(start)
+    if rt is None or not rt.vertices:
+        cells = _descend(grid, h, start_id)
+        if cells is None:
+            return None
+        return TimedPath(agent, tuple((c % w, c // w, t) for t, c in enumerate(cells)))
     clear = rt.goal_clear_time(goal)
     if clear is None:
         return None
 
-    h = heuristic if heuristic is not None else ReverseResumableAStar(grid, goal)
-    w = grid.width
     area = w * grid.height
-    start_id = grid.cell_id(start)
     goal_id = grid.cell_id(goal)
     h_start = h._distance(start_id)
     if h_start is None:
@@ -518,35 +576,14 @@ def space_time_astar(
 
 def astar_static(grid: GridMap, start: Coord, goal: Coord) -> list[Coord] | None:
     """Shortest 4-connected path on the static map as a cell sequence, or
-    None when disconnected.
-
-    Reads the path off the goal's exact distances: from ``start``, each step
-    goes to the smallest-id neighbour whose distance is one less. That is
-    the path of ``space_time_astar`` with no reservations, which with an
-    exact heuristic pops only the states of that one path, each time the
-    smallest id among the deepest (``tests/test_search.py::
-    TestAstarStatic::test_matches_space_time_search`` pins it). So
-    single-agent plans and first-round candidate paths of the iterated
-    solver are identical. A neighbour not yet settled is asked for its
-    distance, which resumes the backward search.
+    None when disconnected: the cells of ``_descend``, the path that
+    ``space_time_astar`` returns with no reservations. So single-agent plans
+    and first-round candidate paths of the iterated solver are identical.
     """
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
-    h = ReverseResumableAStar(grid, goal)
-    c = grid.cell_id(start)
-    d = h._distance(c)
-    if d is None:
+    cells = _descend(grid, ReverseResumableAStar(grid, goal), grid.cell_id(start))
+    if cells is None:
         return None
     w = grid.width
-    table = grid.neighbor_table
-    dist = h.dist
-    settle = h._distance
-    path = [start]
-    while d:
-        d -= 1
-        # every neighbour of a reachable cell is reachable, so settle
-        # never returns None here
-        c = min(nb for nb in table[c] if (dist[nb] if dist[nb] >= 0 else settle(nb)) == d)
-        y, x = divmod(c, w)
-        path.append((x, y))
-    return path
+    return [(c % w, c // w) for c in cells]

@@ -11,22 +11,42 @@ from __future__ import annotations
 from collections import deque
 
 
+def bfs_distances(grid, source):
+    """Plain BFS distance from `source` to every cell of its component."""
+    dist = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        x, y = frontier.popleft()
+        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if nb not in dist and grid.is_free(nb):
+                dist[nb] = dist[(x, y)] + 1
+                frontier.append(nb)
+    return dist
+
+
 def bfs_distance(grid, start, goal):
     """Plain BFS shortest distance on the static 4-connected map."""
-    if start == goal:
-        return 0
-    seen = {start}
-    frontier = deque([(start, 0)])
-    while frontier:
-        (x, y), d = frontier.popleft()
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in seen or not grid.is_free(nb):
-                continue
-            if nb == goal:
-                return d + 1
-            seen.add(nb)
-            frontier.append((nb, d + 1))
-    return None
+    return bfs_distances(grid, goal).get(start)
+
+
+def bfs_descent(grid, start, goal):
+    """Shortest static path from `start` to `goal` as a cell list, or None
+    when disconnected: BFS distances from the goal over its whole
+    component, then from `start` each step to the neighbour one closer that
+    comes first in row-major order (the smallest `y * width + x`)."""
+    dist = bfs_distances(grid, goal)
+    if start not in dist:
+        return None
+    path = [start]
+    while path[-1] != goal:
+        x, y = path[-1]
+        closer = [
+            nb
+            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+            if dist.get(nb) == dist[(x, y)] - 1
+        ]
+        path.append(min(closer, key=lambda c: (c[1], c[0])))
+    return path
 
 
 def occupies(path, cell, t):

@@ -14,7 +14,13 @@ from mapfkit import (
     space_time_astar,
 )
 
-from oracles import bfs_distance, random_timed_path, time_expanded_shortest
+from oracles import (
+    bfs_descent,
+    bfs_distance,
+    bfs_distances,
+    random_timed_path,
+    time_expanded_shortest,
+)
 
 
 class TestTimedPath:
@@ -80,12 +86,13 @@ class TestAstarStatic:
                 assert path[0] == s and path[-1] == g
                 assert all(grid.is_free(c) for c in path)
 
-    def test_matches_space_time_search(self):
-        # the space-time search with no reservations is the reference, and
-        # pins the tie-break; the open grid ties many shortest paths
+    @staticmethod
+    def descent_cases():
+        # the open left part of a map split by a wall column ties many
+        # shortest paths; the random maps have cut-off components
         rng = np.random.default_rng(7)
-        open_grid = GridMap(7, 6)
-        cells = open_grid.free_cells()
+        open_grid = GridMap(9, 6, frozenset((7, y) for y in range(6)))
+        cells = [c for c in open_grid.free_cells() if c[0] < 7]
         cases = [(open_grid, s, g) for s in cells for g in cells]
         for seed in range(4):
             grid = generate_random_map(14, 14, 0.3, seed=seed)
@@ -93,13 +100,39 @@ class TestAstarStatic:
             pairs = rng.integers(len(free), size=(80, 2))
             cases += [(grid, free[i], free[j]) for i, j in pairs]
             cases.append((grid, free[0], free[0]))
+        return cases
+
+    def test_matches_bfs_descent(self):
+        # a read-off of full BFS distances pins the tie-break, for both
+        # entry points to the descent
         unreachable = 0
-        for grid, s, g in cases:
-            path = space_time_astar(grid, s, g)
+        for grid, s, g in self.descent_cases():
+            expected = bfs_descent(grid, s, g)
+            assert astar_static(grid, s, g) == expected, (s, g)
+            for rt in (None, ReservationTable(grid)):
+                path = space_time_astar(grid, s, g, rt)
+                assert (None if path is None else path.cells()) == expected, (s, g)
+            unreachable += expected is None
+        assert unreachable
+
+    def test_matches_space_time_search(self):
+        # the heap search is the reference: one agent waits in another
+        # component of the map, far out of reach, so the table is not empty
+        # and the search runs, and no path can meet the reservation
+        compared = 0
+        for grid, s, g in self.descent_cases():
+            reach = bfs_distances(grid, s)
+            aside = [c for c in grid.free_cells() if c not in reach and c != g]
+            if not aside:
+                continue
+            rt = ReservationTable(grid)
+            x, y = aside[0]
+            rt.insert_path(TimedPath(1, tuple((x, y, t) for t in range(40))))
+            path = space_time_astar(grid, s, g, rt)
             expected = None if path is None else path.cells()
             assert astar_static(grid, s, g) == expected, (s, g)
-            unreachable += path is None
-        assert unreachable
+            compared += 1
+        assert compared > 2000
 
 
 class TestReverseResumable:
@@ -165,6 +198,16 @@ class TestReverseResumable:
         h = ReverseResumableAStar(grid, (2, 2))
         assert h.distance((2, 2)) == 0
         assert h.distance((0, 0)) == 4
+
+    def test_blocked_cell_settles_nothing(self):
+        # a blocked first query neither floods the map nor aims the search:
+        # the next query settles a few cells toward its own cell
+        grid = GridMap(30, 30, frozenset({(5, 5)}))
+        h = ReverseResumableAStar(grid, (20, 20))
+        assert h.distance((5, 5)) is None
+        assert h.expanded == 0
+        assert h.distance((18, 20)) == bfs_distance(grid, (18, 20), (20, 20))
+        assert h.expanded < 10
 
 
 class TestReservationTable:
@@ -422,6 +465,17 @@ class TestSpaceTimeAstar:
         with pytest.raises(ValueError, match="5x5"):
             space_time_astar(GridMap(8, 8), (0, 0), (2, 2), heuristic=h)
 
+    def test_heuristic_for_another_map_rejected(self):
+        # same size, other obstacles: its distances are not this map's, and
+        # a path read off them would cost 8 where 4 is shortest
+        grid = GridMap(5, 3)
+        h = ReverseResumableAStar(GridMap(5, 3, frozenset({(1, 0), (1, 1)})), (4, 0))
+        with pytest.raises(ValueError, match="another map"):
+            space_time_astar(grid, (0, 0), (4, 0), heuristic=h)
+        # an equal map built apart is the same map
+        h = ReverseResumableAStar(GridMap(5, 3), (4, 0))
+        assert space_time_astar(grid, (0, 0), (4, 0), heuristic=h).cost == 4
+
     def test_table_for_another_map_size_rejected(self):
         rt = ReservationTable(GridMap(5, 5))
         with pytest.raises(ValueError, match="5x5"):
@@ -451,6 +505,20 @@ class TestSpaceTimeAstar:
         path = space_time_astar(grid, (0, 0), (59, 59), rt, deadline=time.perf_counter() + 60)
         assert path.arrival_time == 401 + 1 + 57  # into the gap at 401, then the free walk
         assert rt.path_conflict(path) is None
+
+    def test_empty_table_settles_only_the_descent(self):
+        # with no reservations the path is read off the distances, and only
+        # cells no cheap bound decides are settled: corner to corner on an
+        # open map, far fewer than the 1600 cells of the start-goal
+        # rectangle. The read-off pops nothing, so a deadline already past
+        # is never read
+        grid = GridMap(40, 40)
+        h = ReverseResumableAStar(grid, (39, 39))
+        path = space_time_astar(
+            grid, (0, 0), (39, 39), heuristic=h, deadline=time.perf_counter() - 1.0
+        )
+        assert path.cost == 78
+        assert h.expanded < 200
 
     def test_goal_busy_until_late_is_no_flood(self):
         # agent 1 crosses the map, and the goal is a cell it passes late.
