@@ -45,6 +45,6 @@ for pid, report in reports.items():
 ig = build_intersection_graph(paths, part)
 print(f"\nintersection graph: nodes={ig.nodes} edges={sorted(ig.edges)}")
 print(f"connected components: {connected_components(ig)}")
-chosen = independent_set(ig)
+chosen = independent_set(ig, ())  # nobody is promoted to go first
 print(f"independent set fixed this round: {sorted(chosen)}")
 print(f"agents that must replan: {sorted(set(ig.nodes) - chosen)}")

@@ -219,23 +219,23 @@ def _components(nodes: Iterable[int], adj: Mapping[int, Set[int]]) -> list[tuple
 def validate_solution(
     paths: Mapping[int, TimedPath],
     grid: GridMap,
-    endpoints: Sequence[tuple[Coord, Coord]] | None = None,
+    endpoints: Sequence[tuple[Coord, Coord]],
 ) -> list[str]:
     """Check each path and every pair under full collision semantics,
     including indefinite goal stays up to the global makespan. ``paths``
-    must key each path by its own agent, every path must start at t=0, and
-    with ``endpoints``, indexed by agent id, every listed agent must have a
-    path and every path must belong to a listed agent. Returns the
-    violations found; an empty list means the solution is valid.
+    must key each path by its own agent, and every path must start at t=0.
+    ``endpoints`` lists each agent's (source, goal) by agent id: every
+    listed agent must have a path between them, and every path must belong
+    to a listed agent. Returns the violations found; an empty list means
+    the solution is valid.
     """
     items = list(paths.values())
     violations = [
         f"agent {k}: path belongs to agent {p.agent}" for k, p in paths.items() if k != p.agent
     ]
-    if endpoints is not None:
-        have = {path.agent for path in items}
-        listed = range(len(endpoints))
-        violations += [f"agent {a}: no path" for a in listed if a not in have]
+    have = {path.agent for path in items}
+    listed = range(len(endpoints))
+    violations += [f"agent {a}: no path" for a in listed if a not in have]
     for path in items:
         a = path.agent
         if path.start_time != 0:
@@ -243,15 +243,14 @@ def validate_solution(
         for x, y, t in path.states:
             if not grid.is_free((x, y)):
                 violations.append(f"agent {a}: state ({x}, {y}, {t}) blocked or out of bounds")
-        if endpoints is not None:
-            if a not in listed:
-                violations.append(f"agent {a}: not in the instance")
-                continue
-            src, dst = endpoints[a]
-            if path.start != tuple(src):
-                violations.append(f"agent {a}: starts at {path.start}, expected {tuple(src)}")
-            if path.goal != tuple(dst):
-                violations.append(f"agent {a}: ends at {path.goal}, expected {tuple(dst)}")
+        if a not in listed:
+            violations.append(f"agent {a}: not in the instance")
+            continue
+        src, dst = endpoints[a]
+        if path.start != tuple(src):
+            violations.append(f"agent {a}: starts at {path.start}, expected {tuple(src)}")
+        if path.goal != tuple(dst):
+            violations.append(f"agent {a}: ends at {path.goal}, expected {tuple(dst)}")
     if not items:
         return violations
 

@@ -9,7 +9,7 @@ at least one agent per round.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Collection, Mapping, Set
+from collections.abc import Collection, Iterable, Mapping, Set
 
 from .conflicts import IntersectionGraph, _components
 
@@ -80,15 +80,27 @@ def mis_greedy(nodes: Collection[int], adj: Mapping[int, Set[int]]) -> set[int]:
     return chosen
 
 
-def independent_set(g: IntersectionGraph) -> set[int]:
-    """Union over connected components of the exact solution (components up
-    to ``EXACT_THRESHOLD`` nodes) or the greedy approximation (larger). One
-    adjacency map serves the components and both solvers."""
+def independent_set(g: IntersectionGraph, first: Iterable[int]) -> set[int]:
+    """The agents a round fixes. The nodes of ``first`` are taken in order,
+    each while it is independent of those already taken; ids not in ``g``
+    are skipped. The rest is the union over the connected components of the
+    nodes neither taken nor adjacent to one taken: the exact solution for
+    components up to ``EXACT_THRESHOLD`` nodes, the greedy approximation for
+    larger ones. One adjacency map serves the components and both solvers.
+    """
     adj = g.adjacency()
-    result: set[int] = set()
-    for comp in _components(g.nodes, adj):
+    taken: set[int] = set()
+    blocked: set[int] = set()  # the nodes taken and their neighbours
+    for v in first:
+        if v in adj and v not in blocked:
+            taken.add(v)
+            blocked.add(v)
+            blocked |= adj[v]
+    if blocked:
+        adj = {v: nbs - blocked for v, nbs in adj.items() if v not in blocked}
+    for comp in _components(adj, adj):
         if len(comp) <= EXACT_THRESHOLD:
-            result |= mis_exact(comp, adj)
+            taken |= mis_exact(comp, adj)
         else:
-            result |= mis_greedy(comp, adj)
-    return result
+            taken |= mis_greedy(comp, adj)
+    return taken

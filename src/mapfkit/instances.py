@@ -79,9 +79,7 @@ def generate_instance(grid: GridMap, n_agents: int, seed=None) -> ProblemInstanc
         "seed": seed if isinstance(seed, int) else None,
         "generation_order": tuple(order),
     }
-    instance = ProblemInstance(grid, agents, metadata=metadata)
-    instance.validate(check_reachability=False)  # reachability holds by construction
-    return instance
+    return ProblemInstance(grid, agents, metadata=metadata)
 
 
 def write_scenario(instance: ProblemInstance, map_name: str = "map") -> str:
@@ -99,7 +97,8 @@ def write_scenario(instance: ProblemInstance, map_name: str = "map") -> str:
 
 def read_scenario(text: str, grid: GridMap) -> ProblemInstance:
     """Parse ``.scen`` text against its map; malformed rows, size mismatches
-    and blocked or out-of-bounds endpoints raise ScenarioFormatError."""
+    and blocked or out-of-bounds endpoints raise ScenarioFormatError, and
+    repeated sources or goals InvalidInstanceError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if lines and lines[0].lstrip().startswith("version"):
         lines = lines[1:]
@@ -123,9 +122,7 @@ def read_scenario(text: str, grid: GridMap) -> ProblemInstance:
             if not grid.is_free(cell):
                 raise ScenarioFormatError(f"endpoint {cell} on an obstacle")
         agents.append(((sx, sy), (gx, gy)))
-    instance = ProblemInstance(grid, tuple(agents))
-    instance.validate(check_reachability=False)
-    return instance
+    return ProblemInstance(grid, tuple(agents))
 
 
 def write_instance_metadata(instance: ProblemInstance) -> str:

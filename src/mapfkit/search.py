@@ -195,8 +195,8 @@ class ReservationTable:
         last_vertex, stays = self._last_vertex, self.goal_stays
         gx, gy, gt = states[-1]
         if 0 <= gx < w and 0 <= gy < h:
-            goal = gy * w + gx
-            if stays[goal] != NO_STAY or last_vertex.get(goal, -1) >= gt:
+            clear = self.goal_clear_time((gx, gy))
+            if clear is None or clear > gt:
                 self._reject(path, path.start_time)  # the goal is not clear from gt on
         vertices, edges = self.vertices, self.edges
         x, y, _ = states[0]

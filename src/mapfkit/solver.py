@@ -76,49 +76,48 @@ class ProblemInstance:
     metadata: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "agents", tuple((tuple(s), tuple(g)) for s, g in self.agents)
-        )
+        """Every instance is valid once built: its endpoints are free cells
+        and its sources, like its goals, are pairwise distinct. Anything
+        else raises InvalidInstanceError. Reachability is ``validate``'s."""
+        agents = tuple((tuple(s), tuple(g)) for s, g in self.agents)
+        object.__setattr__(self, "agents", agents)
+        for i, (s, g) in enumerate(agents):
+            if not self.grid.is_free(s):
+                raise InvalidInstanceError(f"agent {i} source {s} blocked or out of bounds")
+            if not self.grid.is_free(g):
+                raise InvalidInstanceError(f"agent {i} goal {g} blocked or out of bounds")
+        if len({s for s, _ in agents}) != len(agents):
+            raise InvalidInstanceError("sources must be pairwise distinct")
+        if len({g for _, g in agents}) != len(agents):
+            raise InvalidInstanceError("goals must be pairwise distinct")
 
     @property
     def n_agents(self) -> int:
         return len(self.agents)
 
-    def validate(self, check_reachability: bool = True) -> None:
-        """Raise InvalidInstanceError unless sources are pairwise distinct,
-        goals are pairwise distinct, all endpoints are free cells, and (when
-        requested) every goal is reachable from its source."""
-        sources = [s for s, _ in self.agents]
-        goals = [g for _, g in self.agents]
+    def validate(self) -> None:
+        """Raise InvalidInstanceError unless every goal is reachable from
+        its source.
+
+        The 4-connected component of each source is labelled with one flood
+        over flat cell ids, the first time a source in it comes up. The
+        labels are not kept on the map: callers hold many maps alive at
+        once."""
+        grid = self.grid
+        table = grid.neighbor_table
+        label = [-1] * len(table)
         for i, (s, g) in enumerate(self.agents):
-            if not self.grid.is_free(s):
-                raise InvalidInstanceError(f"agent {i} source {s} blocked or out of bounds")
-            if not self.grid.is_free(g):
-                raise InvalidInstanceError(f"agent {i} goal {g} blocked or out of bounds")
-        if len(set(sources)) != len(sources):
-            raise InvalidInstanceError("sources must be pairwise distinct")
-        if len(set(goals)) != len(goals):
-            raise InvalidInstanceError("goals must be pairwise distinct")
-        if check_reachability:
-            # Label the 4-connected component of each source with one flood
-            # over flat cell ids, the first time a source in it comes up. The
-            # labels are not kept on the map: callers hold many maps alive at
-            # once.
-            grid = self.grid
-            table = grid.neighbor_table
-            label = [-1] * len(table)
-            for i, (s, g) in enumerate(self.agents):
-                src = grid.cell_id(s)
-                if label[src] < 0:
-                    label[src] = i
-                    frontier = [src]
-                    while frontier:
-                        for nb in table[frontier.pop()]:
-                            if label[nb] < 0:
-                                label[nb] = i
-                                frontier.append(nb)
-                if label[grid.cell_id(g)] != label[src]:
-                    raise InvalidInstanceError(f"agent {i} goal {g} unreachable from {s}")
+            src = grid.cell_id(s)
+            if label[src] < 0:
+                label[src] = i
+                frontier = [src]
+                while frontier:
+                    for nb in table[frontier.pop()]:
+                        if label[nb] < 0:
+                            label[nb] = i
+                            frontier.append(nb)
+            if label[grid.cell_id(g)] != label[src]:
+                raise InvalidInstanceError(f"agent {i} goal {g} unreachable from {s}")
 
 
 @dataclass(frozen=True)
@@ -328,26 +327,6 @@ def _hca_attempt(
     return Solution(paths)
 
 
-def _round_choice(ig: IntersectionGraph, promoted: list[int]) -> set[int]:
-    """The agents a round fixes. The pending agents of ``promoted`` come
-    first, newest first, each while it stays independent of those already
-    taken; then ``independent_set`` runs on the pending agents that are
-    neither taken nor adjacent to one taken, all of them when none is
-    promoted."""
-    chosen: set[int] = set()
-    blocked: set[int] = set()  # the agents taken and their neighbours
-    for a in promoted:
-        if a in ig.nodes and a not in blocked:
-            chosen.add(a)
-            blocked.add(a)
-            blocked.update(*(e for e in ig.edges if a in e))
-    rest = IntersectionGraph(
-        tuple(a for a in ig.nodes if a not in blocked),
-        frozenset(filter(blocked.isdisjoint, ig.edges)),
-    )
-    return chosen | independent_set(rest)
-
-
 def solve_variant(
     instance: ProblemInstance, timeout: float = 60.0
 ) -> tuple[Solution, SolveTrace]:
@@ -361,11 +340,12 @@ def solve_variant(
     At least one agent is fixed per round, so at most ``n_agents`` rounds run.
 
     A failed search ends the attempt, and the solve restarts from an empty
-    table, at most ``MAX_RESTARTS`` times, with the failed agents promoted
-    (see ``_round_choice``); a failed search against the empty table ends
-    the solve at once, as in ``solve_hca``. A restart reuses the first
-    attempt's round one, which started from an empty table too (see
-    ``SolveTrace``). If the attempts fail, SolveFailure names the agent that
+    table, at most ``MAX_RESTARTS`` times, with the failed agents promoted:
+    each round fixes its pending promoted agents first, newest first, while
+    they stay independent (see ``independent_set``). A failed search
+    against the empty table ends the solve at once, as in ``solve_hca``. A
+    restart reuses the first attempt's round one, which started from an
+    empty table too (see ``SolveTrace``). If the attempts fail, SolveFailure names the agent that
     failed first. One budget covers every attempt, checked as in
     ``solve_hca``: SolveTimeout names the agent about to be searched, or the
     one whose search was cut. A NaN ``timeout`` raises ValueError.
@@ -434,7 +414,7 @@ def _variant_attempt(
                 path_bits=iteration_path_bits(segments.values(), n, map_side),
                 ig_bits=intersection_graph_bits([r.count for r in reports.values()], n),
             )
-        chosen = tuple(sorted(_round_choice(ig, promoted)))
+        chosen = tuple(sorted(independent_set(ig, promoted)))
         for a in chosen:
             rt.insert_path(candidates[a])
             fixed[a] = candidates[a]

@@ -274,6 +274,42 @@ def min_degree_greedy(nodes, adj):
     return chosen
 
 
+def round_choice(nodes, edges, first, exact_limit):
+    """The agents a round fixes, chosen as the solver chose them while the
+    promoted agents were taken outside the independent-set code: the nodes
+    of ``first`` in order, each unless a node taken so far shares an edge
+    with it, found by scanning every edge; then, on the graph of the nodes
+    neither taken nor adjacent to one taken, per connected component, the
+    lexicographically smallest maximum independent set by enumeration up to
+    ``exact_limit`` nodes, and ``min_degree_greedy`` above that."""
+    chosen, blocked = set(), set()
+    for v in first:
+        if v in nodes and v not in blocked:
+            chosen.add(v)
+            blocked.add(v)
+            for e in edges:
+                if v in e:
+                    blocked.update(e)
+    rest = [n for n in nodes if n not in blocked]
+    rest_edges = [e for e in edges if blocked.isdisjoint(e)]
+    adj = {n: set() for n in rest}
+    for a, b in rest_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for comp in union_find_components(rest, rest_edges):
+        if len(comp) > exact_limit:
+            chosen |= min_degree_greedy(comp, adj)
+            continue
+        best = ()
+        for mask in range(1 << len(comp)):
+            subset = tuple(n for i, n in enumerate(comp) if mask >> i & 1)
+            if all(adj[n].isdisjoint(subset) for n in subset):
+                if len(subset) > len(best) or (len(subset) == len(best) and subset < best):
+                    best = subset
+        chosen |= set(best)
+    return chosen
+
+
 def union_find_components(nodes, edges):
     """Connected components via union-find, as sorted tuples."""
     parent = {n: n for n in nodes}

@@ -328,13 +328,15 @@ class TestCli:
 
     def test_validate_shared_goal_is_invalid_instance(self, tmp_path, capsys):
         # every structural fault of the scenario reads the same from
-        # validate, whether the loader or the reachability check finds it
+        # validate, whether the loader or the reachability check finds it;
+        # no instance can hold a shared goal, so the text is written directly
         grid = GridMap(6, 6)
-        inst = ProblemInstance(grid, (((0, 0), (3, 3)), ((5, 5), (3, 3))))
         map_path = tmp_path / "s.map"
         scen_path = tmp_path / "s.scen"
         map_path.write_text(serialize_movingai_map(grid))
-        scen_path.write_text(write_scenario(inst, "s.map"))
+        scen_path.write_text(
+            "version 1\n0\ts.map\t6\t6\t0\t0\t3\t3\t0\n0\ts.map\t6\t6\t5\t5\t3\t3\t0\n"
+        )
         code = main(["validate", "--map", str(map_path), "--scen", str(scen_path)])
         assert code == 2
         assert "invalid instance: goals must be pairwise distinct" in capsys.readouterr().err

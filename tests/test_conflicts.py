@@ -28,6 +28,12 @@ def straight_path(agent, cells, start_t=0):
     return TimedPath(agent, tuple((x, y, start_t + i) for i, (x, y) in enumerate(cells)))
 
 
+def own_endpoints(*paths):
+    """Endpoints indexed by agent id, read off the agents' own ``paths``."""
+    ends = {p.agent: (p.start, p.goal) for p in paths}
+    return [ends[a] for a in range(len(ends))]
+
+
 class TestSplitPath:
     def test_single_partition(self):
         grid = GridMap(12, 12)
@@ -304,20 +310,20 @@ class TestValidateSolution:
     def test_single_valid_path(self):
         grid = GridMap(5, 5)
         p = straight_path(0, [(0, 0), (1, 0), (2, 0)])
-        assert validate_solution({0: p}, grid) == []
+        assert validate_solution({0: p}, grid, own_endpoints(p)) == []
 
     def test_swap_is_one_violation(self):
         grid = GridMap(5, 5)
         a = straight_path(0, [(0, 0), (1, 0)])
         b = straight_path(1, [(1, 0), (0, 0)])
-        violations = validate_solution({0: a, 1: b}, grid)
+        violations = validate_solution({0: a, 1: b}, grid, own_endpoints(a, b))
         assert len(violations) == 1 and "swap" in violations[0]
 
     def test_vertex_and_stay_violations(self):
         grid = GridMap(5, 5)
         a = straight_path(0, [(2, 2), (2, 3)])  # parks on (2,3) at t=1
         b = straight_path(1, [(2, 4), (2, 3), (2, 3), (2, 3)])
-        violations = validate_solution({0: a, 1: b}, grid)
+        violations = validate_solution({0: a, 1: b}, grid, own_endpoints(a, b))
         assert violations  # b sits on a's goal after a arrived
 
     def test_endpoint_mismatch(self):
@@ -362,16 +368,20 @@ class TestValidateSolution:
             "agent 0: path belongs to agent 1",
             "agent 1: path belongs to agent 0",
         ]
-        assert validate_solution({0: p0, 1: p0}, grid) == ["agent 1: path belongs to agent 0"]
+        assert validate_solution({0: p0, 1: p0}, grid, own_endpoints(p0)) == [
+            "agent 1: path belongs to agent 0"
+        ]
 
     def test_late_start(self):
         # agent 1 passes (2, 0) at t=2, where agent 0 stood before it started
         grid = GridMap(5, 5)
         a = straight_path(0, [(2, 0), (2, 0)], start_t=3)
         b = straight_path(1, [(0, 0), (1, 0), (2, 0), (3, 0)])
-        assert validate_solution({0: a, 1: b}, grid) == ["agent 0: starts at t=3, expected t=0"]
+        assert validate_solution({0: a, 1: b}, grid, own_endpoints(a, b)) == [
+            "agent 0: starts at t=3, expected t=0"
+        ]
 
     def test_obstacle_violation(self):
         grid = GridMap(5, 5, frozenset({(1, 0)}))
         p = straight_path(0, [(0, 0), (1, 0)])
-        assert any("blocked" in v for v in validate_solution({0: p}, grid))
+        assert any("blocked" in v for v in validate_solution({0: p}, grid, own_endpoints(p)))

@@ -3,7 +3,7 @@ import pytest
 
 from mapfkit import EXACT_THRESHOLD, IntersectionGraph, independent_set, mis_exact, mis_greedy
 
-from oracles import max_independent_set_size, min_degree_greedy
+from oracles import max_independent_set_size, min_degree_greedy, round_choice
 
 
 def component(nodes, edges):
@@ -122,18 +122,18 @@ class TestGreedy:
 class TestIndependentSet:
     def test_two_crossing_pairs(self):
         g = IntersectionGraph((0, 1, 2, 3), frozenset({(0, 1), (2, 3)}))
-        chosen = independent_set(g)
+        chosen = independent_set(g, ())
         assert len(chosen) == 2
         assert chosen == {0, 2}  # deterministic tie-break
 
     def test_edgeless_fixes_everyone(self):
         g = IntersectionGraph(tuple(range(6)), frozenset())
-        assert independent_set(g) == set(range(6))
+        assert independent_set(g, ()) == set(range(6))
 
     def test_two_disjoint_triangles(self):
         edges = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}
         g = IntersectionGraph(tuple(range(6)), frozenset(edges))
-        chosen = independent_set(g)
+        chosen = independent_set(g, ())
         assert len(chosen) == 2
         assert is_independent(g.nodes, edges, chosen)
 
@@ -141,7 +141,7 @@ class TestIndependentSet:
         rng = np.random.default_rng(31)
         nodes, edges = random_graph(rng, 25, p=0.3)
         g = IntersectionGraph(nodes, frozenset(edges))
-        chosen = independent_set(g)
+        chosen = independent_set(g, ())
         assert chosen
         assert is_independent(nodes, edges, chosen)
         assert is_maximal(nodes, edges, chosen)
@@ -152,10 +152,42 @@ class TestIndependentSet:
             n = int(rng.integers(1, 12))
             nodes, edges = random_graph(rng, n, p=0.8)
             g = IntersectionGraph(nodes, frozenset(edges))
-            assert independent_set(g)
+            assert independent_set(g, ())
 
     def test_deterministic(self):
         rng = np.random.default_rng(41)
         nodes, edges = random_graph(rng, 14, p=0.35)
         g = IntersectionGraph(nodes, frozenset(edges))
-        assert independent_set(g) == independent_set(g)
+        assert independent_set(g, ()) == independent_set(g, ())
+
+    def test_first_nodes_taken_first(self):
+        # the nodes of ``first`` are taken in order while independent of
+        # those taken; ids not in the graph and repeats are skipped
+        g = IntersectionGraph((0, 1, 2, 3), frozenset({(0, 1), (1, 2), (2, 3)}))
+        assert independent_set(g, ()) == {0, 2}
+        assert independent_set(g, (9, 1, 2, 1)) == {1, 3}
+        assert independent_set(g, (3, 2, 0)) == {0, 3}
+
+    def test_matches_round_choice_oracle(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            n = int(rng.integers(1, 31))
+            ids = sorted(int(v) for v in rng.choice(40, size=n, replace=False))
+            _, edges = random_graph(rng, n, p=float(rng.uniform(0.02, 0.4)))
+            nodes = tuple(ids)
+            edges = {(ids[a], ids[b]) for a, b in edges}
+            # absent ids, both ends of an edge, and repeats
+            first = [int(v) for v in rng.integers(0, 45, size=int(rng.integers(0, 8)))]
+            for a, b in sorted(edges)[: int(rng.integers(0, 3))]:
+                k = int(rng.integers(len(first) + 1))
+                first[k:k] = [a, b]
+            if first:
+                first.append(first[int(rng.integers(len(first)))])
+            g = IntersectionGraph(nodes, frozenset(edges))
+            chosen = independent_set(g, first)
+            assert chosen == round_choice(nodes, edges, first, EXACT_THRESHOLD)
+            assert is_independent(nodes, edges, chosen)
+            assert is_maximal(nodes, edges, chosen)
+            listed = [v for v in first if v in nodes]
+            if listed:
+                assert listed[0] in chosen

@@ -97,22 +97,51 @@ class TestProblemInstance:
 
     def test_duplicate_sources_rejected(self):
         grid = GridMap(5, 5)
-        inst = ProblemInstance(grid, (((0, 0), (4, 4)), ((0, 0), (3, 3))))
-        with pytest.raises(InvalidInstanceError):
-            inst.validate()
+        with pytest.raises(InvalidInstanceError, match="sources must be pairwise distinct"):
+            ProblemInstance(grid, (((0, 0), (4, 4)), ((0, 0), (3, 3))))
 
     def test_blocked_endpoint_rejected(self):
         grid = GridMap(5, 5, frozenset({(4, 4)}))
-        inst = ProblemInstance(grid, (((0, 0), (4, 4)),))
-        with pytest.raises(InvalidInstanceError):
-            inst.validate()
+        with pytest.raises(InvalidInstanceError) as exc:
+            ProblemInstance(grid, (((0, 0), (4, 4)),))
+        assert str(exc.value) == "agent 0 goal (4, 4) blocked or out of bounds"
+        with pytest.raises(InvalidInstanceError) as exc:
+            ProblemInstance(grid, (((0, 0), (1, 1)), ((5, 0), (2, 2))))
+        assert str(exc.value) == "agent 1 source (5, 0) blocked or out of bounds"
 
     def test_unreachable_goal_rejected(self):
+        # the instance builds: reachability is checked by validate alone
         grid = GridMap(3, 1, frozenset({(1, 0)}))
         inst = ProblemInstance(grid, (((0, 0), (2, 0)),))
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(InvalidInstanceError, match=r"agent 0 goal \(2, 0\) unreachable"):
             inst.validate()
-        inst.validate(check_reachability=False)
+
+    def test_invalid_instance_refused_before_any_search(self, monkeypatch):
+        # a shared goal or source, or a blocked goal, is refused when the
+        # instance is built, so neither planner searches for it
+        searched = []
+        search = mapfkit.solver.space_time_astar
+
+        def counted(*args, **kwargs):
+            searched.append(kwargs["agent"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(mapfkit.solver, "space_time_astar", counted)
+        grid = GridMap(6, 6, frozenset({(5, 0)}))
+        for agents, message in (
+            ((((0, 0), (3, 3)), ((5, 5), (3, 3))), "goals must be pairwise distinct"),
+            ((((0, 0), (3, 3)), ((0, 0), (4, 4))), "sources must be pairwise distinct"),
+            ((((0, 0), (3, 3)), ((5, 5), (5, 0))), "agent 1 goal (5, 0) blocked or out of bounds"),
+        ):
+            with pytest.raises(InvalidInstanceError) as exc:
+                inst = ProblemInstance(grid, agents)
+                for plan in (lambda: solve_hca(inst, [0, 1]), lambda: solve_variant(inst)):
+                    try:
+                        plan()
+                    except SolveFailure:
+                        pass
+            assert str(exc.value) == message
+        assert searched == []
 
     def test_reachability_agrees_with_static_search(self):
         rng = np.random.default_rng(11)
@@ -363,9 +392,9 @@ class TestSolveVariant:
         choose = mapfkit.solver.independent_set
         path_bits = mapfkit.solver.iteration_path_bits
 
-        def counted_choose(g):
-            chosen = choose(g)
-            calls.append((g.nodes, chosen))
+        def counted_choose(g, first):
+            chosen = choose(g, first)
+            calls.append((g.nodes, list(first), chosen))
             return chosen
 
         def counted_bits(*args):
@@ -375,8 +404,17 @@ class TestSolveVariant:
         monkeypatch.setattr(mapfkit.solver, "independent_set", counted_choose)
         monkeypatch.setattr(mapfkit.solver, "iteration_path_bits", counted_bits)
         _, trace = solve_variant(crossing_pairs_instance())
-        assert calls == [(rec.ig.nodes, set(rec.independent)) for rec in trace.iterations]
+        assert calls == [(rec.ig.nodes, [], set(rec.independent)) for rec in trace.iterations]
         assert bits == [it.path_bits for it in trace.ledger.iterations] == [190, 90]
+        # the restart's rounds pass promoted agent 1 first, and the call
+        # still sees each round's whole graph and whole fixed set
+        calls.clear()
+        _, trace = solve_variant(late_gap_instance())
+        assert [first for _, first, _ in calls] == [[], [1], [1]]
+        assert [(g, chosen) for g, _, chosen in calls] == [
+            (rec.ig.nodes, set(rec.independent)) for rec in trace.iterations
+        ]
+        assert [rec.ig.nodes for rec in trace.iterations] == [(0, 1), (0, 1), (0,)]
 
     def test_round_stops_at_first_failed_search(self, monkeypatch):
         # two walled-off corridors, each with a head-on pair: round one fixes
