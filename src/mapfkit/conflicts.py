@@ -172,10 +172,18 @@ def detect_conflicts_in_partition(
 @dataclass(frozen=True)
 class IntersectionGraph:
     """Agents as nodes; an edge joins two agents whose candidate paths
-    collide anywhere under full-path semantics."""
+    collide anywhere under full-path semantics. An edge may list its ends in
+    either order; a self-loop, or an end not in ``nodes``, raises
+    ValueError."""
 
     nodes: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        nodes = set(self.nodes)
+        for a, b in self.edges:
+            if a == b or a not in nodes or b not in nodes:
+                raise ValueError(f"edge ({a}, {b}) is a self-loop or names an absent node")
 
     @property
     def n_edges(self) -> int:

@@ -96,9 +96,10 @@ def write_scenario(instance: ProblemInstance, map_name: str = "map") -> str:
 
 
 def read_scenario(text: str, grid: GridMap) -> ProblemInstance:
-    """Parse ``.scen`` text against its map; malformed rows, size mismatches
-    and blocked or out-of-bounds endpoints raise ScenarioFormatError, and
-    repeated sources or goals InvalidInstanceError."""
+    """Parse ``.scen`` text against its map; malformed rows and size
+    mismatches raise ScenarioFormatError. The rows then build a
+    ``ProblemInstance``, which raises InvalidInstanceError for an endpoint
+    blocked or off the map and for repeated sources or goals."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if lines and lines[0].lstrip().startswith("version"):
         lines = lines[1:]
@@ -116,11 +117,6 @@ def read_scenario(text: str, grid: GridMap) -> ProblemInstance:
             raise ScenarioFormatError(
                 f"scenario declares {w}x{h}, map is {grid.width}x{grid.height}"
             )
-        for cell in ((sx, sy), (gx, gy)):
-            if not grid.in_bounds(cell):
-                raise ScenarioFormatError(f"endpoint {cell} out of bounds")
-            if not grid.is_free(cell):
-                raise ScenarioFormatError(f"endpoint {cell} on an obstacle")
         agents.append(((sx, sy), (gx, gy)))
     return ProblemInstance(grid, tuple(agents))
 

@@ -96,9 +96,11 @@ class ReservationTable:
     them, so every reservation is one int:
 
     - ``vertices`` holds each occupied state ``(c, t)`` as ``t * area + c``;
-    - ``edges`` holds each traversal ``src -> dst`` during ``[t, t + 1]`` as
-      ``(t * area + src) * area + dst``, in both directions so a swap
-      conflict is a single lookup;
+    - ``edges`` holds, for each fixed move ``src -> dst`` during
+      ``[t, t + 1]``, the key of the opposite move,
+      ``(t * area + dst) * area + src``: a move that would swap with a fixed
+      one finds its own key there. A move along a fixed one enters a
+      reserved vertex, so it needs no key;
     - ``goal_stays`` is indexed by cell id and gives the time from which the
       final cell of a fixed path is occupied forever, or ``NO_STAY``.
 
@@ -114,6 +116,7 @@ class ReservationTable:
         self.goal_stays: list[int] = [NO_STAY] * self.area
         self._last_vertex: dict[int, int] = {}
         self.last_time = 0  # latest finite reservation time
+        self._paths: list[TimedPath] = []  # the accepted paths, in order
 
     def _cell_id(self, cell: Coord) -> int:
         x, y = cell
@@ -126,10 +129,11 @@ class ReservationTable:
         return t * self.area + c not in self.vertices and t < self.goal_stays[c]
 
     def is_move_free(self, src: Coord, dst: Coord, t: int) -> bool:
-        """True if traversing ``src -> dst`` during ``[t, t + 1]`` crosses no
-        reserved edge."""
+        """True if traversing ``src -> dst`` during ``[t, t + 1]`` neither
+        swaps with a fixed move nor follows one along the same edge."""
         a = self.area
-        return (t * a + self._cell_id(src)) * a + self._cell_id(dst) not in self.edges
+        s, d = self._cell_id(src), self._cell_id(dst)
+        return self.edges.isdisjoint(((t * a + s) * a + d, (t * a + d) * a + s))
 
     def goal_clear_time(self, cell: Coord) -> int | None:
         """Earliest time from which an agent may park on ``cell`` for good,
@@ -144,17 +148,16 @@ class ReservationTable:
             return None
         return self._last_vertex.get(c, -1) + 1
 
-    def _path_ids(self, path: TimedPath) -> list[int]:
-        w, h = self.width, self.height
+    def path_conflict(self, path: TimedPath) -> str | None:
+        """Describe the first conflict between ``path`` and the table, or
+        None if the path (including its final stay) fits. A path that
+        leaves the map raises ValueError."""
+        w, h, a = self.width, self.height, self.area
         ids = []
         for x, y, _ in path.states:
             if not (0 <= x < w and 0 <= y < h):
                 raise ValueError(f"agent {path.agent} path leaves the {w}x{h} map at ({x}, {y})")
             ids.append(y * w + x)
-        return ids
-
-    def _conflict(self, path: TimedPath, ids: list[int]) -> str | None:
-        a = self.area
         vertices, stays = self.vertices, self.goal_stays
         for (x, y, t), c in zip(path.states, ids):
             if t * a + c in vertices or stays[c] <= t:
@@ -171,24 +174,19 @@ class ReservationTable:
             return f"goal stay at ({gx}, {gy}) from t={gt}"
         return None
 
-    def path_conflict(self, path: TimedPath) -> str | None:
-        """Describe the first conflict between ``path`` and the table, or
-        None if the path (including its final stay) fits."""
-        return self._conflict(path, self._path_ids(path))
-
     def insert_path(self, path: TimedPath) -> None:
-        """Reserve every state, both directions of every traversed edge, and
-        an indefinite stay on the final cell. Conflicting paths, and paths
-        that leave the map, are rejected; feasibility is the planner's job.
+        """Reserve every state, the swap key of every move (see ``edges``),
+        and an indefinite stay on the final cell. Conflicting paths, and
+        paths that leave the map, are rejected; feasibility is the planner's
+        job.
 
         One pass checks and reserves. The goal-clear test reads only the old
         table, so it runs first. Then each state is checked to lie on the
         map, its vertex key is tested against ``vertices`` and
         ``goal_stays``, and the move into it against ``edges``, before they
-        are added. On the first clash the path's reservations so far are
-        undone, and the error is the one a check of the whole path on the
-        restored table gives (see ``_reject``): a rejected path leaves the
-        table as it was.
+        are added. On the first clash the table is rebuilt from the accepted
+        paths, and the error is the one a check of the whole path on it
+        gives (see ``_reject``): a rejected path leaves the table as it was.
         """
         states = path.states
         w, h, a = self.width, self.height, self.area
@@ -197,24 +195,23 @@ class ReservationTable:
         if 0 <= gx < w and 0 <= gy < h:
             clear = self.goal_clear_time((gx, gy))
             if clear is None or clear > gt:
-                self._reject(path, path.start_time)  # the goal is not clear from gt on
+                self._reject(path)  # the goal is not clear from gt on
         vertices, edges = self.vertices, self.edges
         x, y, _ = states[0]
         prev = y * w + x
         prev_key = 0  # the vertex key of the state before, read after a move
         for x, y, t in states:
             if not (0 <= x < w and 0 <= y < h):
-                self._reject(path, t)
+                self._reject(path)
             c = y * w + x
             key = t * a + c
             if key in vertices or stays[c] <= t:
-                self._reject(path, t)
+                self._reject(path)
             if c != prev:
-                # the keys of prev -> c and of c -> prev during [t - 1, t]
-                move = prev_key * a + c
-                if move in edges:
-                    self._reject(path, t)
-                edges.add(move)
+                # a fixed move swaps with prev -> c if its key is held; this
+                # one holds the key of c -> prev during [t - 1, t]
+                if prev_key * a + c in edges:
+                    self._reject(path)
                 edges.add((prev_key - prev + c) * a + prev)
             vertices.add(key)
             if last_vertex.get(c, -1) < t:
@@ -223,39 +220,25 @@ class ReservationTable:
             prev_key = key
         stays[prev] = gt
         self.last_time = max(self.last_time, gt)
+        self._paths.append(path)
 
-    def _reject(self, path: TimedPath, end: int) -> None:
-        """Take back what ``insert_path`` reserved for the states of ``path``
-        before time ``end``, all of them on the map, and raise the error a
-        check of the whole path gives: ValueError for a state off the map,
-        else PathConflictError with the message of ``path_conflict``.
+    def _reject(self, path: TimedPath) -> None:
+        """Restore the table to the accepted paths and raise the error a
+        check of the whole of ``path`` gives: ValueError for a state off the
+        map, else PathConflictError with the message of ``path_conflict``.
 
-        The states' vertex keys and the edge keys of the moves between them
-        are removed; none of them was reserved before, since each was tested
-        first. ``_last_vertex`` of the cells they touched is then rebuilt
-        from ``vertices`` by the rule ``insert_path`` applies. That scans the
-        whole table, which only a rejected path pays for.
+        The table is emptied in place and the accepted paths are inserted
+        again, in order, so they fit as they did. Only a rejected path pays
+        for that.
         """
-        w, a = self.width, self.area
-        vertices, edges, last_vertex = self.vertices, self.edges, self._last_vertex
-        touched = set()
-        x, y, _ = path.states[0]
-        prev = y * w + x
-        for x, y, t in path.states[: end - path.start_time]:
-            c = y * w + x
-            vertices.remove(t * a + c)
-            if c != prev:
-                edges.remove(((t - 1) * a + prev) * a + c)
-                edges.remove(((t - 1) * a + c) * a + prev)
-            touched.add(c)
-            prev = c
-        if touched:
-            for c in touched:
-                last_vertex.pop(c, None)
-            for key in vertices:
-                t, c = divmod(key, a)
-                if c in touched and last_vertex.get(c, -1) < t:
-                    last_vertex[c] = t
+        self.vertices.clear()
+        self.edges.clear()
+        self.goal_stays[:] = [NO_STAY] * self.area
+        self._last_vertex.clear()
+        self.last_time = 0
+        accepted, self._paths = self._paths, []
+        for fixed in accepted:
+            self.insert_path(fixed)
         conflict = self.path_conflict(path)
         raise PathConflictError(f"agent {path.agent} path conflicts with reservations: {conflict}")
 
@@ -493,7 +476,8 @@ def space_time_astar(
         return None
 
     # A state is packed as ``t * area + c``, the table's vertex key, and a
-    # move as the table's edge key. Every search starts at t=0, so g is t.
+    # move as the key the table holds for a fixed move it would swap with.
+    # Every search starts at t=0, so g is t.
     # A heap entry is the int ``(f * span - t) * area + c``; t is below
     # ``span`` (see the docstring), so it orders as (f, -t, y, x). A
     # state's parent is stored as its cell; its time is one less.

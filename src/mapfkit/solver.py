@@ -345,10 +345,11 @@ def solve_variant(
     they stay independent (see ``independent_set``). A failed search
     against the empty table ends the solve at once, as in ``solve_hca``. A
     restart reuses the first attempt's round one, which started from an
-    empty table too (see ``SolveTrace``). If the attempts fail, SolveFailure names the agent that
-    failed first. One budget covers every attempt, checked as in
-    ``solve_hca``: SolveTimeout names the agent about to be searched, or the
-    one whose search was cut. A NaN ``timeout`` raises ValueError.
+    empty table too (see ``SolveTrace``). If the attempts fail,
+    SolveFailure names the agent that failed first. One budget covers every
+    attempt, checked as in ``solve_hca``: SolveTimeout names the agent about
+    to be searched, or the one whose search was cut. A NaN ``timeout``
+    raises ValueError.
 
     The searches, the splits of each agent's own path and the partition
     checks of a round are independent, so the round's ideal parallel

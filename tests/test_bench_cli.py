@@ -329,20 +329,28 @@ class TestCli:
     def test_validate_shared_goal_is_invalid_instance(self, tmp_path, capsys):
         # every structural fault of the scenario reads the same from
         # validate, whether the loader or the reachability check finds it;
-        # no instance can hold a shared goal, so the text is written directly
-        grid = GridMap(6, 6)
+        # no instance can hold a shared goal or a blocked endpoint, so the
+        # text is written directly
+        grid = GridMap(6, 6, frozenset({(2, 2)}))
         map_path = tmp_path / "s.map"
         scen_path = tmp_path / "s.scen"
         map_path.write_text(serialize_movingai_map(grid))
-        scen_path.write_text(
-            "version 1\n0\ts.map\t6\t6\t0\t0\t3\t3\t0\n0\ts.map\t6\t6\t5\t5\t3\t3\t0\n"
-        )
-        code = main(["validate", "--map", str(map_path), "--scen", str(scen_path)])
-        assert code == 2
-        assert "invalid instance: goals must be pairwise distinct" in capsys.readouterr().err
-        code = main(["solve-hca", "--map", str(map_path), "--scen", str(scen_path)])
-        assert code == 1
-        assert "error: goals must be pairwise distinct" in capsys.readouterr().err
+        cases = [
+            ((3, 3), (3, 3), "goals must be pairwise distinct"),
+            ((2, 2), (4, 4), "agent 1 source (2, 2) blocked or out of bounds"),
+        ]
+        for source, goal, message in cases:
+            scen_path.write_text(
+                "version 1\n0\ts.map\t6\t6\t0\t0\t3\t3\t0\n"
+                f"0\ts.map\t6\t6\t{source[0]}\t{source[1]}\t{goal[0]}\t{goal[1]}\t0\n"
+            )
+            for command, code, prefix in (
+                ("validate", 2, "invalid instance"),
+                ("solve-hca", 1, "error"),
+                ("solve-variant", 1, "error"),
+            ):
+                assert main([command, "--map", str(map_path), "--scen", str(scen_path)]) == code
+                assert f"{prefix}: {message}" in capsys.readouterr().err
 
     def test_validate_rejects_short_state(self, tmp_path, instance_files, capsys):
         map_path, scen_path = instance_files

@@ -120,6 +120,13 @@ class TestGreedy:
 
 
 class TestIndependentSet:
+    @pytest.mark.parametrize(
+        "nodes, edges", [((0,), {(0, 5)}), ((0,), {(5, 0)}), ((0, 1), {(1, 1)})]
+    )
+    def test_graph_refuses_edges_that_do_not_fit(self, nodes, edges):
+        with pytest.raises(ValueError, match=r"is a self-loop or names an absent node"):
+            IntersectionGraph(nodes, frozenset(edges))
+
     def test_two_crossing_pairs(self):
         g = IntersectionGraph((0, 1, 2, 3), frozenset({(0, 1), (2, 3)}))
         chosen = independent_set(g, ())

@@ -4,6 +4,7 @@ import pytest
 from mapfkit import (
     GenerationError,
     GridMap,
+    InvalidInstanceError,
     ScenarioFormatError,
     generate_instance,
     generate_random_map,
@@ -103,14 +104,15 @@ class TestScenarioIO:
         assert (int(parts[6]), int(parts[7])) == g
 
     def test_endpoint_on_obstacle_rejected(self):
+        # the instance owns the endpoint rule, and its message names the agent
         grid = GridMap(4, 4, frozenset({(1, 1)}))
-        text = "version 1\n0\tm\t4\t4\t1\t1\t2\t2\t0\n"
-        with pytest.raises(ScenarioFormatError):
+        text = "version 1\n0\tm\t4\t4\t0\t0\t2\t2\t0\n0\tm\t4\t4\t1\t1\t3\t3\t0\n"
+        with pytest.raises(InvalidInstanceError, match=r"agent 1 source \(1, 1\) blocked"):
             read_scenario(text, grid)
 
     def test_out_of_bounds_rejected(self):
         grid = GridMap(4, 4)
-        with pytest.raises(ScenarioFormatError):
+        with pytest.raises(InvalidInstanceError, match=r"agent 0 goal \(4, 0\) blocked or out of"):
             read_scenario("0\tm\t4\t4\t0\t0\t4\t0\t0\n", grid)
 
     def test_size_mismatch_rejected(self):

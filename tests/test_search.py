@@ -307,6 +307,18 @@ class TestOnePassInsert:
     raise the message ``path_conflict`` gives and leave the table as it
     was, wherever on the path the clash is."""
 
+    def test_one_edge_key_per_fixed_move(self):
+        # each fixed move holds the key of the move that would swap with it,
+        # and only that key: agent 0 makes 5 moves and agent 1 makes 3
+        rt = clash_table()
+        a = rt.area
+        assert len(rt.edges) == 8
+        assert rt.edges == {
+            (t * a + y1 * 6 + x1) * a + y0 * 6 + x0
+            for path in rt._paths
+            for x0, y0, x1, y1, t in path.iter_moves()
+        }
+
     @pytest.mark.parametrize(
         "states, conflict",
         [
@@ -387,6 +399,7 @@ class TestOnePassInsert:
             for path in accepted:
                 rebuilt.insert_path(path)
             assert table_state(rt) == table_state(rebuilt)
+            assert len(rt.edges) == sum(len(list(p.iter_moves())) for p in accepted)
         assert rejected > 300  # the rejections are the point of the test
 
 
