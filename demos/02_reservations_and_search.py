@@ -1,5 +1,5 @@
-"""Space-time search against reservations: waits, detours, goal stays, and
-the resumable backward heuristic.
+"""Space-time search against reservations: waits, detours, goal stays, the
+resumable backward heuristic, and the read-off of a free shortest path.
 
 Run from the repository root:  python3 demos/02_reservations_and_search.py
 """
@@ -44,3 +44,11 @@ d2 = h.distance((0, 0))
 print(f"distances to (6,1): from (0,1) = {d1}, from (0,0) = {d2}")
 print(f"settled cells after first query: {settled_after_first}, after second: {h.expanded}")
 assert d1 == len(astar_static(grid, (0, 1), (6, 1))) - 1
+
+# (5) When no reservation touches the static shortest path, the search
+#     costs no heap: the top row never meets the blocker, so the path is
+#     read off the distances, step by step against the table, and only
+#     the cells the read-off cannot decide by a cheap bound settle.
+h = ReverseResumableAStar(grid, (6, 0))
+path = space_time_astar(grid, (0, 0), (6, 0), rt, heuristic=h)
+print("beside the blocker:", path.cells(), f"cost={path.cost}, settled cells: {h.expanded}")

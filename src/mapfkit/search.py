@@ -1,7 +1,8 @@
 """Path-search core: a resumable backward search providing exact static
-distances, and space-time A* against a reservation table. Against an empty
-table, and for the static shortest path, the path is read off those
-distances instead.
+distances, and space-time A* against a reservation table. A search whose
+goal clears by the static arrival, and whose smallest-id shortest path no
+reservation touches, reads that path off those distances instead, as
+``astar_static`` does.
 
 Time is discrete; every action (move to a 4-neighbor or wait in place) takes
 one step. A path's cost is its arrival time minus its start time, so waiting
@@ -345,11 +346,15 @@ class ReverseResumableAStar:
         return found
 
 
-def _descend(grid: GridMap, h: ReverseResumableAStar, cell: int) -> list[int] | None:
+def _descend(
+    grid: GridMap, h: ReverseResumableAStar, cell: int, rt: ReservationTable | None
+) -> list[int] | None:
     """Shortest static path on ``grid`` from the free cell with flat id
-    ``cell`` to ``h``'s goal, as flat ids, or None when the goal is
-    unreachable. Each step goes to the smallest-id neighbour whose distance
-    is one less, as ``space_time_astar`` would with no reservations.
+    ``cell``, leaving at t=0, to ``h``'s goal, as flat ids. Each step goes
+    to the smallest-id neighbour whose distance is one less. None when the
+    goal is unreachable, or when ``rt`` reserves a step of that path: its
+    vertex key, a goal stay on its cell, or the swap key of its move (see
+    ``ReservationTable``). With no table no step is reserved.
 
     A neighbour is settled only when no cheap test decides it. A grid is
     bipartite, so a neighbour of a cell at distance d + 1 is at d or d + 2.
@@ -364,8 +369,13 @@ def _descend(grid: GridMap, h: ReverseResumableAStar, cell: int) -> list[int] | 
     table = grid.neighbor_table
     dist, best, settle = h.dist, h._best, h._distance
     w = grid.width
+    area = w * grid.height
     gy, gx = divmod(h._goal_id, w)
     tx, ty = h._target
+    # a table with no vertex holds no edge or stay either: it reserves no step
+    vertices = None if rt is None else rt.vertices
+    if vertices:
+        edges, stays = rt.edges, rt.goal_stays
     path = [cell]
     while d:
         d -= 1
@@ -382,6 +392,14 @@ def _descend(grid: GridMap, h: ReverseResumableAStar, cell: int) -> list[int] | 
                 continue
             if settle(nb) == d:
                 break
+        if vertices:
+            t = len(path)
+            if (
+                t * area + nb in vertices
+                or stays[nb] <= t
+                or ((t - 1) * area + cell) * area + nb in edges
+            ):
+                return None
         cell = nb
         path.append(cell)
     return path
@@ -409,7 +427,7 @@ def space_time_astar(
     Heuristic: ``h(c, t) = max(d(c), clear - t)``, where ``d`` is the exact
     static distance to the goal (``heuristic``, built here when omitted for
     this map, and rejected when built for another) and ``clear`` is
-    ``rt.goal_clear_time(goal)``. It is admissible, since
+    ``rt.goal_clear_time(goal)``, 0 with no ``rt``. It is admissible, since
     the path needs ``d(c)`` more steps and no arrival before ``clear`` is
     accepted, and consistent, since each step or wait lowers either term by
     at most 1. So ``f = max(t + d(c), clear)``, and a goal that is busy
@@ -427,16 +445,23 @@ def space_time_astar(
     no horizon: a chain of parent links in the tail never visits a cell
     twice, so every state has ``t <= rt.last_time + area``.
 
-    Empty table: with no ``rt``, or one that holds no vertex, nothing is
-    ever reserved, so the search pops exactly the states of one path, the
-    deepest state of least f each time, smallest id first. That path is read
-    off the distances instead (``_descend``), and only the cells the read-off
-    cannot bound settle.
+    Free descent: when ``d(start) >= clear``, every state on a static
+    shortest path has the least f, ``max(t + d, clear) = d(start)``. Among
+    those the heap pops the deepest first, smallest id first, so while each
+    step of the smallest-id descent is free, the search walks exactly that
+    descent and accepts it at the goal. So the descent is read off the
+    distances first (``_descend``), each step tested against the table as it
+    is taken, and only the cells the read-off cannot bound settle. At the
+    first reserved step the read-off stops and the heap search runs from the
+    start. It pops that same prefix first and settles every free neighbour
+    of each state it pops, so the stopped read-off settled little that the
+    search would not. With no ``rt`` nothing is reserved and the read-off
+    always succeeds.
 
     ``deadline`` is an absolute ``time.perf_counter()`` reading. The clock
     is read every ``DEADLINE_CHECK_POPS`` pops, and ``TimeoutError`` is
     raised once it has passed; a search that pops fewer states never reads
-    it, and the read-off against an empty table pops none.
+    it, and a free descent pops none.
     """
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
@@ -458,22 +483,21 @@ def space_time_astar(
                 f"heuristic was built for another map, {h.grid.width}x{h.grid.height}"
                 f" with {len(h.grid.obstacles)} obstacles"
             )
-    w = grid.width
-    start_id = grid.cell_id(start)
-    if rt is None or not rt.vertices:
-        cells = _descend(grid, h, start_id)
-        if cells is None:
-            return None
-        return TimedPath(agent, tuple((c % w, c // w, t) for t, c in enumerate(cells)))
-    clear = rt.goal_clear_time(goal)
+    clear = 0 if rt is None else rt.goal_clear_time(goal)
     if clear is None:
         return None
-
-    area = w * grid.height
-    goal_id = grid.cell_id(goal)
+    w = grid.width
+    start_id = grid.cell_id(start)
     h_start = h._distance(start_id)
     if h_start is None:
         return None
+    if h_start >= clear:
+        cells = _descend(grid, h, start_id, rt)
+        if cells is not None:
+            return TimedPath(agent, tuple((c % w, c // w, t) for t, c in enumerate(cells)))
+
+    area = w * grid.height
+    goal_id = grid.cell_id(goal)
 
     # A state is packed as ``t * area + c``, the table's vertex key, and a
     # move as the key the table holds for a fixed move it would swap with.
@@ -566,7 +590,7 @@ def astar_static(grid: GridMap, start: Coord, goal: Coord) -> list[Coord] | None
     """
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
-    cells = _descend(grid, ReverseResumableAStar(grid, goal), grid.cell_id(start))
+    cells = _descend(grid, ReverseResumableAStar(grid, goal), grid.cell_id(start), None)
     if cells is None:
         return None
     w = grid.width

@@ -8,6 +8,7 @@ paths.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 
 
@@ -111,6 +112,52 @@ def time_expanded_shortest(grid, start, goal, fixed_paths, start_t=0, horizon=64
                 nxt.add(nb)
         layer = nxt
         t += 1
+    return None
+
+
+def tie_broken_space_time_path(grid, start, goal, fixed_paths, horizon):
+    """The states ``space_time_astar`` returns against ``fixed_paths``, from
+    a plain A* over ``(cell, t)`` states up to ``horizon``, or None.
+
+    ``d`` is the BFS distance to the goal and ``clear`` the earliest time
+    from which no fixed agent is on the goal (None when one parks there).
+    A state's f is ``max(t + d, clear)``; the open state of least
+    ``(f, -t, y, x)`` is popped, and a state's parent is fixed when it is
+    first generated. An arrival counts once ``t >= clear``. Waits are tried
+    at every step, with no pruning of the time after the last reservation
+    and no read-off of the distances."""
+    dist = bfs_distances(grid, goal)
+    clear = 0
+    for p in fixed_paths:
+        if p.states[-1][:2] == goal:
+            return None
+        clear = max([clear] + [t + 1 for x, y, t in p.states if (x, y) == goal])
+    if start not in dist:
+        return None
+    fixed_moves = set().union(*map(moves_of, fixed_paths))
+    parent = {(start, 0): None}
+    heap = [(max(dist[start], clear), 0, start[1], start[0])]
+    while heap:
+        _, neg_t, y, x = heapq.heappop(heap)
+        t = -neg_t
+        if (x, y) == goal and t >= clear:
+            states, state = [], ((x, y), t)
+            while state is not None:
+                states.append((*state[0], state[1]))
+                state = parent[state]
+            return tuple(reversed(states))
+        if t == horizon:
+            continue
+        for nb in ((x, y), (x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if (nb, t + 1) in parent or nb not in dist:
+                continue
+            if any(occupies(p, nb, t + 1) for p in fixed_paths):
+                continue
+            if (*nb, x, y, t) in fixed_moves:
+                continue
+            parent[(nb, t + 1)] = ((x, y), t)
+            f = max(t + 1 + dist[nb], clear)
+            heapq.heappush(heap, (f, -(t + 1), nb[1], nb[0]))
     return None
 
 

@@ -19,6 +19,7 @@ from oracles import (
     bfs_distance,
     bfs_distances,
     random_timed_path,
+    tie_broken_space_time_path,
     time_expanded_shortest,
 )
 
@@ -116,21 +117,26 @@ class TestAstarStatic:
         assert unreachable
 
     def test_matches_space_time_search(self):
-        # the heap search is the reference: one agent waits in another
-        # component of the map, far out of reach, so the table is not empty
-        # and the search runs, and no path can meet the reservation
+        # the tie-broken space-time A* oracle is the reference, against no
+        # table and against one agent waiting in another component of the
+        # map, far out of reach: a table whose reservations miss the path
         compared = 0
         for grid, s, g in self.descent_cases():
             reach = bfs_distances(grid, s)
             aside = [c for c in grid.free_cells() if c not in reach and c != g]
             if not aside:
                 continue
-            rt = ReservationTable(grid)
             x, y = aside[0]
-            rt.insert_path(TimedPath(1, tuple((x, y, t) for t in range(40))))
-            path = space_time_astar(grid, s, g, rt)
-            expected = None if path is None else path.cells()
-            assert astar_static(grid, s, g) == expected, (s, g)
+            waiting = TimedPath(1, tuple((x, y, t) for t in range(40)))
+            rt = ReservationTable(grid)
+            rt.insert_path(waiting)
+            horizon = rt.last_time + grid.width * grid.height
+            for fixed in ([], [waiting]):
+                states = tie_broken_space_time_path(grid, s, g, fixed, horizon)
+                expected = None if states is None else [state[:2] for state in states]
+                assert astar_static(grid, s, g) == expected, (s, g)
+                path = space_time_astar(grid, s, g, rt if fixed else None)
+                assert (None if path is None else path.states) == states, (s, g)
             compared += 1
         assert compared > 2000
 
@@ -533,6 +539,21 @@ class TestSpaceTimeAstar:
         assert path.cost == 78
         assert h.expanded < 200
 
+    def test_missed_reservations_settle_only_the_descent(self):
+        # one agent parks in the far corner, off the path: the descent is
+        # free, so the path is read off as against an empty table. A heap
+        # search would settle nearly all 1600 cells of the rectangle, since
+        # it generates the neighbours one f-level up of every state it pops
+        grid = GridMap(40, 40)
+        rt = ReservationTable(grid)
+        rt.insert_path(TimedPath(1, ((0, 39, 0),)))
+        h = ReverseResumableAStar(grid, (39, 39))
+        path = space_time_astar(
+            grid, (0, 0), (39, 39), rt, heuristic=h, deadline=time.perf_counter() - 1.0
+        )
+        assert path.cost == 78
+        assert h.expanded < 200
+
     def test_goal_busy_until_late_is_no_flood(self):
         # agent 1 crosses the map, and the goal is a cell it passes late.
         # Bounded by the goal's clear time, the heuristic sends the search
@@ -683,3 +704,90 @@ class TestSpaceTimeAstar:
         assert expected == rt.last_time + 29 == 40
         assert path is not None and path.arrival_time == expected
         assert rt.path_conflict(path) is None
+
+
+class TestFreeDescent:
+    """A search whose smallest-id static descent the table leaves free
+    returns that descent; one whose descent is reserved searches. Either
+    way the states are those of the tie-broken space-time A* oracle."""
+
+    @staticmethod
+    def solve(grid, start, goal, fixed):
+        rt = ReservationTable(grid)
+        for p in fixed:
+            rt.insert_path(p)
+        path = space_time_astar(grid, start, goal, rt)
+        horizon = rt.last_time + grid.width * grid.height
+        expected = tie_broken_space_time_path(grid, start, goal, fixed, horizon)
+        assert (None if path is None else path.states) == expected
+        return rt, path
+
+    def test_matches_tie_broken_oracle(self):
+        rng = np.random.default_rng(26)
+        cases = read_off = searched = 0
+        while cases < 1500:
+            side = int(rng.integers(4, 9))
+            grid = generate_random_map(
+                side, side, float(rng.uniform(0, 0.3)), seed=int(rng.integers(1 << 30))
+            )
+            free = grid.free_cells()
+            if len(free) < 4:
+                continue
+            fixed = []
+            rt = ReservationTable(grid)
+            for _ in range(int(rng.integers(1, 6))):
+                p = random_timed_path(rng, grid, 10 + len(fixed), max_len=10)
+                if rt.path_conflict(p) is None:
+                    rt.insert_path(p)
+                    fixed.append(p)
+            starts = [c for c in free if rt.is_vertex_free(c, 0)]
+            if not starts:
+                continue
+            s = starts[int(rng.integers(len(starts)))]
+            g = free[int(rng.integers(len(free)))]
+            _, path = self.solve(grid, s, g, fixed)
+            cases += 1
+            # a returned descent was free of the table, so it was read off
+            if path is not None and path.cells() == bfs_descent(grid, s, g):
+                read_off += 1
+            else:
+                searched += 1
+        assert read_off > 500 and searched > 300
+
+    # (0, 1) to (4, 1) on a 5x3 map descends straight along row 1
+    grid = GridMap(5, 3)
+    descent = [(0, 1, 0), (1, 1, 1), (2, 1, 2), (3, 1, 3), (4, 1, 4)]
+
+    def test_descent_blocked_only_by_a_swap(self):
+        # agent 1 steps (2, 1) -> (1, 1) as the descent steps back across
+        swap = TimedPath(1, ((2, 0, 0), (2, 1, 1), (1, 1, 2), (1, 0, 3)))
+        rt, path = self.solve(self.grid, (0, 1), (4, 1), [swap])
+        assert all(rt.is_vertex_free((x, y), t) for x, y, t in self.descent)
+        assert not rt.is_move_free((1, 1), (2, 1), 1)
+        assert path.cost == 6
+
+    def test_descent_blocked_only_by_a_parked_agent(self):
+        # agent 1 parks on (3, 1) at t=1: the descent passes there at t=3,
+        # a state that only the stay reserves
+        parked = TimedPath(1, ((3, 0, 0), (3, 1, 1)))
+        rt, path = self.solve(self.grid, (0, 1), (4, 1), [parked])
+        assert (3, 1, 3) not in parked.states
+        assert not rt.is_vertex_free((3, 1), 3)
+        assert path.cost == 6
+
+    def test_goal_clearing_after_the_static_arrival(self):
+        # agent 1 crosses the goal at t=6, after the descent would arrive
+        # at t=4: arrival waits for the goal to clear at t=7
+        late = TimedPath(1, tuple((4, 2, t) for t in range(6)) + ((4, 1, 6), (4, 0, 7)))
+        rt, path = self.solve(self.grid, (0, 1), (4, 1), [late])
+        assert rt.goal_clear_time((4, 1)) == 7
+        assert path.arrival_time == 7
+
+    def test_start_on_the_goal(self):
+        # a goal nobody visits is reached at t=0; one that agent 1 crosses
+        # at t=1 is left and reached again once it clears
+        crossing = TimedPath(1, ((2, 0, 0), (2, 1, 1), (1, 1, 2), (1, 0, 3)))
+        _, path = self.solve(self.grid, (2, 2), (2, 2), [crossing])
+        assert path.states == ((2, 2, 0),)
+        _, path = self.solve(self.grid, (2, 1), (2, 1), [crossing])
+        assert path.arrival_time == 2
