@@ -12,7 +12,6 @@ from mapfkit import (
     pack_segment,
     parse_encoded,
     path_bits,
-    segment_bits,
     unpack_segment,
 )
 
@@ -30,7 +29,7 @@ assert decode_segment(parse_encoded(enc.text())).states == states
 
 # (2) Bit accounting: header (agent id + both coordinates) plus 3 bits per
 #     symbol. On a 12x12 board with up to 64 agents:
-bits = segment_bits(enc, 64, 12)
+bits = path_bits([enc], 64, 12)
 print(f"\nsegment bits (64 agents, side 12): {bits}")
 print(f"  header {ceil_log2(64)} + {2 * ceil_log2(12)}, markers {3 * enc.start_time}, moves+end {3 * (enc.length + 1)}")
 

@@ -22,7 +22,7 @@ import numpy as np
 from .comm import DEFAULT_DATA_RATE, check_data_rate, comm_time, speedup
 from .grid import generate_random_map, parse_movingai_map
 from .instances import GenerationError, generate_instance
-from .solver import ProblemInstance, SolveFailure, solve_hca, solve_variant
+from .solver import DEFAULT_TIMEOUT, ProblemInstance, SolveFailure, solve_hca, solve_variant
 
 
 def check_timeout(timeout: float) -> None:
@@ -97,7 +97,7 @@ PLOT_SERIES = ("sum_of_costs_ratio", "makespan_ratio", "time_ratio_measured")
 def compare(
     instance: ProblemInstance,
     order,
-    timeout: float = 60.0,
+    timeout: float = DEFAULT_TIMEOUT,
     instance_id: int = 0,
     data_rate: float = DEFAULT_DATA_RATE,
 ) -> BenchmarkRecord:
@@ -155,7 +155,8 @@ def compare(
 @dataclass(frozen=True)
 class BenchConfig:
     """One benchmark run. With ``map_file`` unset, a fresh random map is
-    generated per instance; otherwise the named map is reused throughout."""
+    generated per instance; otherwise the named map is reused throughout.
+    The field defaults are the desk scale, and the command line's too."""
 
     n_agents: int = 16
     n_instances: int = 30
@@ -165,7 +166,7 @@ class BenchConfig:
     p_obstacle: float = 0.1
     map_file: str | None = None
     data_rate: float = DEFAULT_DATA_RATE
-    timeout: float = 60.0
+    timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
         if self.n_instances < 0:

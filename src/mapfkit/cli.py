@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .bench import BenchConfig, check_timeout, emit_csv, emit_plot_data, run_benchmark
-from .comm import DEFAULT_DATA_RATE, check_data_rate, comm_time
+from .comm import check_data_rate, comm_time
 from .conflicts import validate_solution
 from .grid import GridMap, MapFormatError, generate_random_map, parse_movingai_map, serialize_movingai_map
 from .instances import (
@@ -51,10 +52,9 @@ def _load_map(path: str) -> GridMap:
     return parse_movingai_map(Path(path).read_text())
 
 
-def _load_instance(map_path: str, scen_path: str) -> tuple[GridMap, ProblemInstance]:
+def _load_instance(map_path: str, scen_path: str) -> ProblemInstance:
     grid = _load_map(map_path)
-    instance = read_scenario(Path(scen_path).read_text(), grid)
-    return grid, instance
+    return read_scenario(Path(scen_path).read_text(), grid)
 
 
 def write_paths(paths: dict[int, TimedPath]) -> str:
@@ -108,17 +108,13 @@ def _cmd_gen_instance(args) -> int:
 
 
 def _cmd_solve_hca(args) -> int:
-    _, instance = _load_instance(args.map, args.scen)
+    instance = _load_instance(args.map, args.scen)
     if args.order:
         order = [int(v) for v in args.order.split(",")]
     else:
-        order = [int(a) for a in np.random.default_rng(args.order_seed).permutation(instance.n_agents)]
+        order = np.random.default_rng(args.order_seed).permutation(instance.n_agents)
     check_timeout(args.timeout)
-    try:
-        solution = solve_hca(instance, order, args.timeout)
-    except SolveFailure as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    solution = solve_hca(instance, order, args.timeout)
     _print_solution("hca", solution)
     if args.paths_out:
         Path(args.paths_out).write_text(write_paths(solution.paths))
@@ -126,14 +122,10 @@ def _cmd_solve_hca(args) -> int:
 
 
 def _cmd_solve_variant(args) -> int:
-    _, instance = _load_instance(args.map, args.scen)
+    instance = _load_instance(args.map, args.scen)
     check_data_rate(args.data_rate)  # rejects a bad rate or budget before solving
     check_timeout(args.timeout)
-    try:
-        solution, trace = solve_variant(instance, args.timeout)
-    except SolveFailure as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    solution, trace = solve_variant(instance, args.timeout)
     _print_solution("variant", solution)
     print(
         f"iterations={trace.n_iterations} comm_bits={trace.ledger.total_bits()} "
@@ -145,17 +137,7 @@ def _cmd_solve_variant(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = BenchConfig(
-        n_agents=args.agents,
-        n_instances=args.instances,
-        seed=args.seed,
-        width=args.width,
-        height=args.height,
-        p_obstacle=args.p_obstacle,
-        map_file=args.map,
-        data_rate=args.data_rate,
-        timeout=args.timeout,
-    )
+    cfg = BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig)})
     records, summary = run_benchmark(cfg)
     if args.csv:
         Path(args.csv).write_text(emit_csv(records))
@@ -175,14 +157,14 @@ def _cmd_bench(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        grid, instance = _load_instance(args.map, args.scen)
+        instance = _load_instance(args.map, args.scen)
         instance.validate()
     except InvalidInstanceError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     if args.paths:
         paths = read_paths(Path(args.paths).read_text())
-        violations = validate_solution(paths, grid, instance.agents)
+        violations = validate_solution(paths, instance.grid, instance.agents)
         if violations:
             for v in violations:
                 print(v, file=sys.stderr)
@@ -196,53 +178,52 @@ def _cmd_validate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mapfkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    desk = BenchConfig()  # every default below is one of its field defaults
+    files, random_map, data_rate, timeout, paths_out = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    )
+    files.add_argument("--map", required=True)
+    files.add_argument("--scen", required=True)
+    random_map.add_argument("--width", type=int, default=desk.width)
+    random_map.add_argument("--height", type=int, default=desk.height)
+    random_map.add_argument("--p-obstacle", type=float, default=desk.p_obstacle)
+    random_map.add_argument("--seed", type=int, default=desk.seed)
+    data_rate.add_argument("--data-rate", type=float, default=desk.data_rate)
+    timeout.add_argument("--timeout", type=float, default=desk.timeout)
+    paths_out.add_argument("--paths-out", help="dump the solution paths here")
 
-    p = sub.add_parser("gen-instance", help="generate a solvable instance")
+    p = sub.add_parser("gen-instance", parents=[random_map], help="generate a solvable instance")
     p.add_argument("--map", help="MovingAI .map file (omit to generate a random map)")
-    p.add_argument("--width", type=int, default=50)
-    p.add_argument("--height", type=int, default=50)
-    p.add_argument("--p-obstacle", type=float, default=0.1)
     p.add_argument("--agents", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="scenario output path")
     p.add_argument("--map-out", help="write the (generated) map here")
     p.add_argument("--meta-out", help="write the reproducibility sidecar here")
     p.set_defaults(func=_cmd_gen_instance)
 
-    p = sub.add_parser("solve-hca", help="prioritized planning baseline")
-    p.add_argument("--map", required=True)
-    p.add_argument("--scen", required=True)
+    p = sub.add_parser("solve-hca", parents=[files, timeout, paths_out],
+                       help="prioritized planning baseline")
     p.add_argument("--order", help="comma-separated agent ids (default: random order)")
-    p.add_argument("--order-seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--paths-out", help="dump the solution paths here")
+    p.add_argument("--order-seed", type=int, default=desk.seed)
     p.set_defaults(func=_cmd_solve_hca)
 
-    p = sub.add_parser("solve-variant", help="iterated independent-set planner")
-    p.add_argument("--map", required=True)
-    p.add_argument("--scen", required=True)
-    p.add_argument("--data-rate", type=float, default=DEFAULT_DATA_RATE)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--paths-out", help="dump the solution paths here")
+    p = sub.add_parser("solve-variant", parents=[files, data_rate, timeout, paths_out],
+                       help="iterated independent-set planner")
     p.set_defaults(func=_cmd_solve_variant)
 
-    p = sub.add_parser("bench", help="paired benchmark over generated instances")
-    p.add_argument("--map", help="fixed map file (default: fresh random map per instance)")
-    p.add_argument("--width", type=int, default=50)
-    p.add_argument("--height", type=int, default=50)
-    p.add_argument("--p-obstacle", type=float, default=0.1)
-    p.add_argument("--agents", type=int, default=16)
-    p.add_argument("--instances", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data-rate", type=float, default=DEFAULT_DATA_RATE)
-    p.add_argument("--timeout", type=float, default=60.0)
+    # dest names are BenchConfig's field names, so _cmd_bench builds it by name
+    p = sub.add_parser("bench", parents=[random_map, data_rate, timeout],
+                       help="paired benchmark over generated instances")
+    p.add_argument("--map", dest="map_file", metavar="MAP",
+                   help="fixed map file (default: fresh random map per instance)")
+    p.add_argument("--agents", dest="n_agents", metavar="AGENTS", type=int, default=desk.n_agents)
+    p.add_argument("--instances", dest="n_instances", metavar="INSTANCES", type=int,
+                   default=desk.n_instances)
     p.add_argument("--csv", help="write per-instance records here")
     p.add_argument("--plot-data", help="write plot series here")
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("validate", help="check a scenario (and optionally a solution)")
-    p.add_argument("--map", required=True)
-    p.add_argument("--scen", required=True)
+    p = sub.add_parser("validate", parents=[files],
+                       help="check a scenario (and optionally a solution)")
     p.add_argument("--paths", help="solution paths file from --paths-out")
     p.set_defaults(func=_cmd_validate)
     return parser
@@ -261,6 +242,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except GenerationError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except SolveFailure as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -129,22 +129,11 @@ def parse_encoded(text: str) -> EncodedSegment:
     return EncodedSegment(agent, (x, y), start_time, "".join(moves))
 
 
-def segment_bits(seg, n_agents: int, map_side: int) -> int:
-    """Bits to transmit one path segment: fixed-width header, 3 bits
-    per ``n`` marker (one per unit of the segment's start time), and 3 bits
-    per move plus the terminator.
-
-    For segments that tile a path's moves from t=0 the ``n`` term equals
-    3 times the summed lengths of the earlier segments; the operative rule is
-    the absolute start time, which also covers gapped or late-starting
-    segments.
-    """
-    return path_bits([seg], n_agents, map_side)
-
-
 def path_bits(segments, n_agents: int, map_side: int) -> int:
-    """Total bits to transmit a path, segment by segment: ``segment_bits``
-    summed, with the header width computed once."""
+    """Bits to transmit path segments. Each costs the fixed-width header,
+    3 bits per ``n`` marker (one per unit of its absolute start time, which
+    also covers gapped or late-starting segments), and 3 bits per move plus
+    the terminator; one segment costs ``path_bits([seg], ...)``."""
     header = sum(header_widths(n_agents, map_side))
     return sum(header + BITS_PER_SYMBOL * (seg.start_time + seg.length + 1) for seg in segments)
 
@@ -152,7 +141,7 @@ def path_bits(segments, n_agents: int, map_side: int) -> int:
 def pack_segment(enc: EncodedSegment, n_agents: int, map_side: int) -> bytes:
     """Pack to the canonical bitstream: big-endian fixed-width header, then
     3-bit symbols, zero-padded to a byte boundary. Before padding the length
-    in bits equals ``segment_bits`` exactly."""
+    in bits equals ``path_bits([enc], n_agents, map_side)`` exactly."""
     x, y = enc.start
     if not 0 <= enc.agent < n_agents:
         raise ValueError(f"agent id {enc.agent} out of range for {n_agents} agents")

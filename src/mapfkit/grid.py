@@ -12,6 +12,7 @@ boundary.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -51,12 +52,17 @@ class GridMap:
     def n_free(self) -> int:
         return self.width * self.height - len(self.obstacles)
 
-    def in_bounds(self, cell: Coord) -> bool:
-        x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.height
-
     def is_free(self, cell: Coord) -> bool:
-        return self.in_bounds(cell) and cell not in self.obstacles
+        """True for an in-bounds cell off the obstacle set. A cell is two
+        integers, NumPy's included: ``(0.5, 0)`` or ``(1.0, 0)`` is no cell,
+        and so not free."""
+        x, y = cell
+        if type(x) is not int or type(y) is not int:
+            try:
+                x, y = operator.index(x), operator.index(y)
+            except TypeError:
+                return False
+        return 0 <= x < self.width and 0 <= y < self.height and cell not in self.obstacles
 
     def free_cells(self) -> list[Coord]:
         """All free cells in row-major order."""
@@ -145,8 +151,9 @@ def parse_movingai_map(text: str) -> GridMap:
     """Parse MovingAI ``.map`` text.
 
     Expected layout: a ``type`` line, ``height H`` and ``width W`` lines (in
-    either order), a ``map`` line, then H rows of W characters. ``.`` and
-    ``G`` are passable; ``@``, ``O`` and ``T`` are obstacles.
+    either order), a ``map`` line, then H rows of W characters and nothing
+    after them but blank lines. ``.`` and ``G`` are passable; ``@``, ``O``
+    and ``T`` are obstacles.
     """
     lines = text.splitlines()
     idx = 0
@@ -185,6 +192,8 @@ def parse_movingai_map(text: str) -> GridMap:
     rows = lines[idx : idx + height]
     if len(rows) < height:
         raise MapFormatError(f"expected {height} map rows, found {len(rows)}")
+    if any(line.strip() for line in lines[idx + height :]):
+        raise MapFormatError(f"non-blank line after the {height} declared map rows")
     obstacles = set()
     for y, row in enumerate(rows):
         if len(row) != width:

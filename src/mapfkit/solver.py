@@ -13,6 +13,7 @@ goal stays), so their costs are directly comparable.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -44,6 +45,8 @@ from .search import (
 
 # Restarts after a SolveFailure, each with the failed agent promoted.
 MAX_RESTARTS = 3
+# Seconds one solve may take, over all its attempts, unless told otherwise.
+DEFAULT_TIMEOUT = 60.0
 
 
 class InvalidInstanceError(ValueError):
@@ -286,7 +289,7 @@ def _with_restarts(attempt, promoted: list[int]):
     raise first
 
 
-def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Solution:
+def solve_hca(instance: ProblemInstance, order, timeout: float = DEFAULT_TIMEOUT) -> Solution:
     """Prioritized planning: plan agents one at a time in ``order``, each
     against the reservations of its predecessors.
 
@@ -301,8 +304,11 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = 60.0) -> Soluti
     each search and inside it: once ``timeout`` seconds have passed,
     SolveTimeout names the agent about to be searched, or the one whose
     search was cut. A NaN ``timeout`` raises ValueError.
+
+    Order ids must be integers, NumPy's included; any other id, such as
+    the float 0.7, raises TypeError instead of being truncated.
     """
-    order = [int(a) for a in order]
+    order = [operator.index(a) for a in order]
     if sorted(order) != list(range(instance.n_agents)):
         raise ValueError("order must be a permutation of agent ids")
     _check_timeout(timeout)
@@ -328,7 +334,7 @@ def _hca_attempt(
 
 
 def solve_variant(
-    instance: ProblemInstance, timeout: float = 60.0
+    instance: ProblemInstance, timeout: float = DEFAULT_TIMEOUT
 ) -> tuple[Solution, SolveTrace]:
     """Iterated independent-set planning (no priority order needed).
 

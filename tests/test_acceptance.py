@@ -263,7 +263,7 @@ def test_criterion_08_communication_ledger_exact():
            f"{total} bits, {got_seconds:.6g}s at 8e7 bits/s")
 
 
-def test_criterion_09_worker_count_determinism():
+def test_criterion_09_same_seed_determinism():
     t0 = time.perf_counter()
     base = dict(n_agents=8, n_instances=6, seed=909, width=20, height=20, p_obstacle=0.1)
     # the planner runs serially; a same-seed repeat must match byte for byte

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import mapfkit.cli
 from mapfkit import (
     BenchConfig,
     GridMap,
@@ -19,6 +20,7 @@ from mapfkit import (
     parse_csv,
     run_benchmark,
     serialize_movingai_map,
+    summarize,
     write_scenario,
 )
 from mapfkit.bench import CSV_COLUMNS, WALL_TIME_COLUMNS
@@ -134,7 +136,7 @@ class TestRunBenchmark:
         assert stats.max == max(values)
         assert stats.median == statistics.median(values)
 
-    def test_deterministic_across_worker_counts(self):
+    def test_deterministic_for_a_fixed_seed(self):
         # the planner runs serially; a same-seed repeat must match byte for byte
         cfg = BenchConfig(n_agents=4, n_instances=3, seed=11, width=12, height=12)
         first = emit_csv(run_benchmark(cfg)[0])
@@ -431,6 +433,30 @@ class TestCli:
         assert parse_csv(csv_path.read_text())
         assert "# series:" in plot_path.read_text()
         assert "ok=2" in capsys.readouterr().out
+
+    def test_bench_on_a_map_file(self, tmp_path, instance_files, capsys):
+        map_path, _ = instance_files
+        csv_path = tmp_path / "m.csv"
+        flags = ["--agents", "2", "--instances", "2", "--seed", "3", "--csv", str(csv_path)]
+        assert main(["bench", "--map", str(map_path), *flags]) == 0
+        assert "ok=2" in capsys.readouterr().out
+        got = drop_wall_time(csv_path.read_text())
+        cfg = BenchConfig(n_agents=2, n_instances=2, seed=3, map_file=str(map_path))
+        assert got == drop_wall_time(emit_csv(run_benchmark(cfg)[0]))
+        random_maps = BenchConfig(n_agents=2, n_instances=2, seed=3, width=12, height=12)
+        assert got != drop_wall_time(emit_csv(run_benchmark(random_maps)[0]))
+
+    def test_bench_without_flags_runs_the_default_config(self, monkeypatch, capsys):
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg)
+            return [], summarize([])
+
+        monkeypatch.setattr(mapfkit.cli, "run_benchmark", record)
+        assert main(["bench"]) == 2  # no records, so no successful pairs
+        assert seen == [BenchConfig()]
+        assert capsys.readouterr().err == "no successful pairs\n"
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["solve-hca", "--map", "/nonexistent.map", "--scen", "x"]) == 1

@@ -14,7 +14,6 @@ from mapfkit import (
     pack_segment,
     parse_encoded,
     path_bits,
-    segment_bits,
     split_path,
     unpack_segment,
 )
@@ -116,23 +115,23 @@ class TestParseEncoded:
 class TestBitAccounting:
     def test_single_segment_from_zero(self):
         seg = SubpathSegment(0, 0, tuple((i, 0, i) for i in range(11)))  # length 10
-        assert segment_bits(seg, 64, 100) == 6 + 14 + 0 + 33
+        assert path_bits([seg], 64, 100) == 6 + 14 + 0 + 33
 
     def test_worked_example_bits(self):
         # length 10, start t=2, 64 agents, map side 12
-        assert segment_bits(EXAMPLE_SEGMENT, 64, 12) == 6 + 8 + 6 + 33
+        assert path_bits([EXAMPLE_SEGMENT], 64, 12) == 6 + 8 + 6 + 33
 
     def test_zero_length_segment(self):
         seg = SubpathSegment(0, 0, ((4, 4, 0),))
-        assert segment_bits(seg, 64, 100) == 6 + 14 + 3
+        assert path_bits([seg], 64, 100) == 6 + 14 + 3
 
     def test_two_contiguous_segments(self):
         # lengths 4 and 6, tiling moves from t=0 (they share the boundary state)
         seg1 = SubpathSegment(0, 0, tuple((i, 0, i) for i in range(5)))
         seg2 = SubpathSegment(0, 1, tuple((4, i - 4, i) for i in range(4, 11)))
         segs = [seg1, seg2]
-        assert segment_bits(seg1, 64, 100) == 6 + 14 + 0 + 15
-        assert segment_bits(seg2, 64, 100) == 6 + 14 + 12 + 21
+        assert path_bits([seg1], 64, 100) == 6 + 14 + 0 + 15
+        assert path_bits([seg2], 64, 100) == 6 + 14 + 12 + 21
         assert path_bits(segs, 64, 100) == 88
 
     def test_marker_term_matches_cumulative_lengths_when_tiling(self):
@@ -172,7 +171,7 @@ class TestBitAccounting:
         segs = split_path(path, part)
         assert len(segs) == 2
         total = path_bits(segs, 64, 12)
-        assert total == sum(segment_bits(seg, 64, 12) for seg in segs)
+        assert total == sum(path_bits([seg], 64, 12) for seg in segs)
         # second segment starts at t=6, so its marker term covers the lost
         # crossing move as well
         assert segs[1].start_time == 6
@@ -182,7 +181,7 @@ class TestPackedWire:
     def test_bit_length_matches_accounting(self):
         enc = encode_segment(EXAMPLE_SEGMENT)
         packed = pack_segment(enc, 64, 12)
-        bits = segment_bits(enc, 64, 12)
+        bits = path_bits([enc], 64, 12)
         assert (bits + 7) // 8 == len(packed)
 
     def test_roundtrip(self):
@@ -253,7 +252,7 @@ class TestPackedWire:
     def test_nonzero_padding_rejected(self):
         enc = EncodedSegment(3, (1, 6), 0, "ru")
         packed = pack_segment(enc, 4, 8)
-        assert segment_bits(enc, 4, 8) % 8 != 0  # the last byte carries padding
+        assert path_bits([enc], 4, 8) % 8 != 0  # the last byte carries padding
         with pytest.raises(CodecError):
             unpack_segment(packed[:-1] + bytes([packed[-1] | 1]), 4, 8)
 

@@ -332,6 +332,18 @@ class TestValidateSolution:
         violations = validate_solution({0: p}, grid, [((0, 0), (2, 0))])
         assert any("ends at" in v for v in violations)
 
+    def test_non_integer_state_reported(self):
+        # agent 1 crosses the row in half steps; its endpoints, times and
+        # step lengths are all in order
+        grid = GridMap(4, 4)
+        a = straight_path(0, [(0, 0), (1, 0), (2, 0), (3, 0)])
+        b = straight_path(1, [(0, 1), (0.5, 1), (1.5, 1), (2.5, 1), (3, 1)])
+        violations = validate_solution({0: a, 1: b}, grid, own_endpoints(a, b))
+        assert violations == [
+            f"agent 1: state ({x}, 1, {t}) blocked or out of bounds"
+            for x, t in ((0.5, 1), (1.5, 2), (2.5, 3))
+        ]
+
     def test_missing_path(self):
         grid = GridMap(5, 5)
         p0 = straight_path(0, [(0, 0), (1, 0)])

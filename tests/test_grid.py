@@ -54,6 +54,14 @@ class TestParseMovingai:
         with pytest.raises(MapFormatError):
             parse_movingai_map("type octile\nheight 3\nwidth 2\nmap\n..\n..\n")
 
+    def test_rows_past_the_declared_height_rejected(self):
+        # a third row under `height 2` is not silently dropped
+        with pytest.raises(MapFormatError, match="after the 2 declared map rows"):
+            parse_movingai_map("type octile\nheight 2\nwidth 2\nmap\n..\n..\n@@\n")
+        # trailing blank lines are no rows
+        grid = parse_movingai_map("type octile\nheight 2\nwidth 2\nmap\n..\n..\n\n  \n")
+        assert (grid.width, grid.height, grid.obstacles) == (2, 2, frozenset())
+
     def test_width_height_either_order(self):
         grid = parse_movingai_map("type octile\nwidth 3\nheight 1\nmap\n.@.\n")
         assert (grid.width, grid.height) == (3, 1)
@@ -246,6 +254,13 @@ class TestNeighbors:
     def test_walled_in(self):
         grid = GridMap(3, 3, frozenset({(1, 0), (0, 1), (2, 1), (1, 2)}))
         assert grid.neighbors4((1, 1)) == ()
+
+    def test_a_cell_is_two_integers(self):
+        grid = GridMap(4, 4)
+        for cell in ((0.5, 0), (1.0, 0), (0, 2.0), ("1", 0), (None, 0)):
+            assert not grid.is_free(cell)
+        assert grid.is_free((np.int64(1), np.int32(2)))
+        assert grid.is_free((True, 0))  # a bool is an int
 
     def test_rejects_blocked_and_off_map_cells(self):
         grid = GridMap(3, 3, frozenset({(1, 0)}))

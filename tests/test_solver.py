@@ -109,6 +109,15 @@ class TestProblemInstance:
             ProblemInstance(grid, (((0, 0), (1, 1)), ((5, 0), (2, 2))))
         assert str(exc.value) == "agent 1 source (5, 0) blocked or out of bounds"
 
+    def test_numpy_integer_endpoints_accepted(self):
+        grid = GridMap(4, 4)
+        a, b = (np.int64(v) for v in (0, 3))
+        inst = ProblemInstance(grid, (((a, a), (b, a)), ((a, b), (b, b))))
+        plain = ProblemInstance(grid, (((0, 0), (3, 0)), ((0, 3), (3, 3))))
+        assert inst == plain
+        assert solve_hca(inst, [0, 1]).paths == solve_hca(plain, [0, 1]).paths
+        assert solve_variant(inst)[0].paths == solve_variant(plain)[0].paths
+
     def test_unreachable_goal_rejected(self):
         # the instance builds: reachability is checked by validate alone
         grid = GridMap(3, 1, frozenset({(1, 0)}))
@@ -117,8 +126,10 @@ class TestProblemInstance:
             inst.validate()
 
     def test_invalid_instance_refused_before_any_search(self, monkeypatch):
-        # a shared goal or source, or a blocked goal, is refused when the
-        # instance is built, so neither planner searches for it
+        # a shared goal or source, a blocked goal, or an endpoint that is not
+        # two integers is refused when the instance is built, so neither
+        # planner searches for it (a float endpoint used to reach the first
+        # search and die there in a TypeError)
         searched = []
         search = mapfkit.solver.space_time_astar
 
@@ -132,6 +143,8 @@ class TestProblemInstance:
             ((((0, 0), (3, 3)), ((5, 5), (3, 3))), "goals must be pairwise distinct"),
             ((((0, 0), (3, 3)), ((0, 0), (4, 4))), "sources must be pairwise distinct"),
             ((((0, 0), (3, 3)), ((5, 5), (5, 0))), "agent 1 goal (5, 0) blocked or out of bounds"),
+            ((((0.5, 0), (3, 3)),), "agent 0 source (0.5, 0) blocked or out of bounds"),
+            ((((0, 0), (3, 3)), ((5, 5), (1.0, 4))), "agent 1 goal (1.0, 4) blocked or out of bounds"),
         ):
             with pytest.raises(InvalidInstanceError) as exc:
                 inst = ProblemInstance(grid, agents)
@@ -209,6 +222,16 @@ class TestSolveHca:
             solve_hca(inst, [0, 1, 2])
         with pytest.raises(ValueError):
             solve_hca(inst, [0, 1, 2, 2])
+
+    def test_order_ids_must_be_integers(self):
+        # int() would truncate 0.7 and 1.2 to the permutation [0, 1]
+        inst = ProblemInstance(GridMap(4, 4), (((0, 0), (3, 0)), ((0, 3), (3, 3))))
+        with pytest.raises(TypeError):
+            solve_hca(inst, [0.7, 1.2])
+        with pytest.raises(TypeError):
+            solve_hca(inst, [0.0, 1.0])
+        order = np.random.default_rng(0).permutation(inst.n_agents)
+        assert solve_hca(inst, order).paths == solve_hca(inst, order.tolist()).paths
 
     def test_timeout(self):
         inst = crossing_pairs_instance()
@@ -319,7 +342,7 @@ class TestSolveVariant:
             assert validate_solution(solution.paths, grid, inst.agents) == []
             assert trace.n_iterations <= 6
 
-    def test_worker_count_does_not_change_results(self):
+    def test_same_seed_repeat_gives_same_results(self):
         # the planner runs serially; a same-seed repeat must match exactly
         grid = generate_random_map(15, 15, 0.15, seed=33)
         inst = generate_instance(grid, 6, seed=7)
