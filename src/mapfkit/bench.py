@@ -22,14 +22,9 @@ import numpy as np
 from .comm import DEFAULT_DATA_RATE, check_data_rate, comm_time, speedup
 from .grid import generate_random_map, parse_movingai_map
 from .instances import GenerationError, generate_instance
-from .solver import DEFAULT_TIMEOUT, ProblemInstance, SolveFailure, solve_hca, solve_variant
-
-
-def check_timeout(timeout: float) -> None:
-    """ValueError unless a configured budget in seconds is positive. A NaN
-    budget is rejected: every deadline comparison would pass it."""
-    if not timeout > 0:
-        raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
+from .solver import (
+    DEFAULT_TIMEOUT, ProblemInstance, SolveFailure, check_timeout, solve_hca, solve_variant,
+)
 
 
 @dataclass
@@ -103,7 +98,12 @@ def compare(
 ) -> BenchmarkRecord:
     """Run both planners on one instance and compute variant/baseline
     ratios; a failing planner yields a failure status instead of ratios.
-    Both planners are timed from outside; bits are priced at ``data_rate``."""
+    Both planners are timed from outside; bits are priced at ``data_rate``.
+
+    A ``data_rate`` that is not positive and finite, or a ``timeout`` that is
+    not positive, raises ValueError before either planner searches: a bad
+    setting is an error, never a failure status."""
+    check_data_rate(data_rate)
     record = BenchmarkRecord(instance_id=instance_id, status="ok", n_agents=instance.n_agents)
 
     t0 = time.perf_counter()

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchConfig, check_timeout, emit_csv, emit_plot_data, run_benchmark
+from .bench import BenchConfig, emit_csv, emit_plot_data, run_benchmark
 from .comm import check_data_rate, comm_time
 from .conflicts import validate_solution
 from .grid import GridMap, MapFormatError, generate_random_map, parse_movingai_map, serialize_movingai_map
@@ -113,7 +113,6 @@ def _cmd_solve_hca(args) -> int:
         order = [int(v) for v in args.order.split(",")]
     else:
         order = np.random.default_rng(args.order_seed).permutation(instance.n_agents)
-    check_timeout(args.timeout)
     solution = solve_hca(instance, order, args.timeout)
     _print_solution("hca", solution)
     if args.paths_out:
@@ -123,8 +122,7 @@ def _cmd_solve_hca(args) -> int:
 
 def _cmd_solve_variant(args) -> int:
     instance = _load_instance(args.map, args.scen)
-    check_data_rate(args.data_rate)  # rejects a bad rate or budget before solving
-    check_timeout(args.timeout)
+    check_data_rate(args.data_rate)  # the rate is used only after the solve
     solution, trace = solve_variant(instance, args.timeout)
     _print_solution("variant", solution)
     print(

@@ -557,9 +557,7 @@ def space_time_astar(
                     continue
                 hd = dist[nb]
                 if hd < 0:
-                    hd = settle(nb)
-                    if hd is None:
-                        continue
+                    hd = settle(nb)  # never None: c reaches the goal, and so does nb
                 parent[ns] = c
                 f = hd + nt
                 heappush(heap, (f if f > clear else clear) * h_step - base + nb)
@@ -573,9 +571,7 @@ def space_time_astar(
                     continue
                 hd = dist[nb]
                 if hd < 0:
-                    hd = settle(nb)
-                    if hd is None:
-                        continue
+                    hd = settle(nb)  # never None: c reaches the goal, and so does nb
                 tail_first[nb] = nt
                 parent[base + nb] = c
                 heappush(heap, (hd + nt) * h_step - base + nb)

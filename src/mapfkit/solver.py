@@ -12,7 +12,6 @@ goal stays), so their costs are directly comparable.
 
 from __future__ import annotations
 
-import math
 import operator
 import time
 from collections.abc import Iterable
@@ -257,11 +256,12 @@ def _plan(
     return path
 
 
-def _check_timeout(timeout: float) -> None:
-    """A budget that every deadline comparison would pass is no budget: a
-    NaN ``timeout`` is rejected. A negative one is a budget already spent."""
-    if math.isnan(timeout):
-        raise ValueError("timeout must be a number of seconds, got nan")
+def check_timeout(timeout: float) -> None:
+    """ValueError unless a budget in seconds is positive: one at or below 0
+    is spent before it starts, and every deadline comparison would pass a
+    NaN one."""
+    if not timeout > 0:
+        raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
 
 
 def _with_restarts(attempt, promoted: list[int]):
@@ -303,15 +303,16 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = DEFAULT_TIMEOUT
     ``order``. One budget covers every attempt, and it is checked before
     each search and inside it: once ``timeout`` seconds have passed,
     SolveTimeout names the agent about to be searched, or the one whose
-    search was cut. A NaN ``timeout`` raises ValueError.
+    search was cut. A ``timeout`` that is not positive, NaN included, raises
+    ValueError before anything is searched (``check_timeout``).
 
     Order ids must be integers, NumPy's included; any other id, such as
     the float 0.7, raises TypeError instead of being truncated.
     """
+    check_timeout(timeout)
     order = [operator.index(a) for a in order]
     if sorted(order) != list(range(instance.n_agents)):
         raise ValueError("order must be a permutation of agent ids")
-    _check_timeout(timeout)
     deadline = time.perf_counter() + timeout
     heuristics = [ReverseResumableAStar(instance.grid, goal) for _, goal in instance.agents]
     return _with_restarts(
@@ -354,8 +355,8 @@ def solve_variant(
     empty table too (see ``SolveTrace``). If the attempts fail,
     SolveFailure names the agent that failed first. One budget covers every
     attempt, checked as in ``solve_hca``: SolveTimeout names the agent about
-    to be searched, or the one whose search was cut. A NaN ``timeout``
-    raises ValueError.
+    to be searched, or the one whose search was cut. A ``timeout`` that is
+    not positive raises ValueError before anything is searched, as there.
 
     The searches, the splits of each agent's own path and the partition
     checks of a round are independent, so the round's ideal parallel
@@ -363,7 +364,7 @@ def solve_variant(
     ``IterationRecord.parallel_seconds``). They run one after another, each
     timed on its own with nothing contending.
     """
-    _check_timeout(timeout)
+    check_timeout(timeout)
     grid = instance.grid
     trace = SolveTrace()
     if instance.n_agents == 0:

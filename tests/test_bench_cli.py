@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import mapfkit.bench
 import mapfkit.cli
 from mapfkit import (
     BenchConfig,
@@ -18,6 +19,8 @@ from mapfkit import (
     generate_instance,
     generate_random_map,
     parse_csv,
+    parse_movingai_map,
+    read_scenario,
     run_benchmark,
     serialize_movingai_map,
     summarize,
@@ -51,6 +54,12 @@ PINNED_CSV_DIGESTS = [
     (dict(n_agents=8, n_instances=6, seed=909, width=20, height=20), "89974071604d2a72"),
     (dict(n_agents=4, n_instances=3, seed=11, width=12, height=12), "61e23f33c6328f1d"),
 ]
+
+
+def variant_fails_instance():
+    """A 2x3 open map on which HCA, under the order ``[0, 1, 2]``, plans all
+    three agents and the variant fails on agent 2."""
+    return ProblemInstance(GridMap(2, 3), (((1, 1), (0, 1)), ((0, 0), (1, 2)), ((1, 2), (1, 0))))
 
 
 class TestCompare:
@@ -97,6 +106,35 @@ class TestCompare:
         assert record.status == "both_failed"
         assert record.sum_of_costs_ratio is None
 
+    def test_variant_failed_status(self):
+        # HCA plans all three; the variant fails on agent 2
+        record = compare(variant_fails_instance(), [0, 1, 2])
+        assert record.status == "variant_failed"
+        assert record.hca_sum_of_costs == 10
+        assert record.variant_sum_of_costs is None and record.comm_bits is None
+        assert record.sum_of_costs_ratio is None and record.speedup is None
+        assert parse_csv(emit_csv([record])) == [record]
+
+    def test_hca_failed_status(self):
+        # under the order [0, 1, 2], HCA fails on agent 1; the variant plans all three
+        inst = ProblemInstance(
+            GridMap(2, 3, {(0, 0)}), (((1, 1), (1, 1)), ((0, 2), (1, 0)), ((0, 1), (0, 1)))
+        )
+        record = compare(inst, [0, 1, 2])
+        assert record.status == "hca_failed"
+        assert record.hca_sum_of_costs is None
+        assert record.variant_sum_of_costs == 11 and record.comm_bits > 0
+        assert record.sum_of_costs_ratio is None and record.speedup is None
+        assert parse_csv(emit_csv([record])) == [record]
+
+    def test_bad_data_rate_rejected_before_either_planner(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(mapfkit.bench, "solve_hca", lambda *a: solved.append("hca"))
+        monkeypatch.setattr(mapfkit.bench, "solve_variant", lambda *a: solved.append("variant"))
+        with pytest.raises(ValueError, match="data rate must be positive and finite"):
+            compare(variant_fails_instance(), [0, 1, 2], data_rate=-1.0)
+        assert solved == []
+
 
 class TestRunBenchmark:
     def test_tiny_run(self):
@@ -110,6 +148,15 @@ class TestRunBenchmark:
     def test_bad_timeout_rejected(self, timeout):
         with pytest.raises(ValueError, match="timeout must be a positive number"):
             BenchConfig(n_agents=1, n_instances=1, timeout=timeout)
+
+    def test_generation_failed_records(self):
+        # 60 agents do not fit on these 16x16 maps
+        cfg = BenchConfig(n_agents=60, n_instances=2, width=16, height=16, seed=0)
+        records, summary = run_benchmark(cfg)
+        assert [r.status for r in records] == ["generation_failed"] * 2
+        assert [r.n_agents for r in records] == [60, 60]
+        assert summary.failures == 2 and summary.successes == 0 and summary.columns == {}
+        assert parse_csv(emit_csv(records)) == records
 
     def test_single_agent_ratios_exactly_one(self):
         cfg = BenchConfig(n_agents=1, n_instances=1, seed=0, width=10, height=10)
@@ -222,6 +269,33 @@ class TestCli:
         assert out.exists() and map_out.exists()
         assert "seed: 5" in meta.read_text()
 
+    def test_gen_instance_on_a_map_file(self, tmp_path, instance_files, capsys):
+        map_path, _ = instance_files
+        out = tmp_path / "f.scen"
+        code = main(
+            ["gen-instance", "--map", str(map_path), "--agents", "3", "--seed", "2",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote 3 agents to {out}\n"
+        text = out.read_text()
+        rows = text.splitlines()[1:]
+        assert len(rows) == 3 and all(row.split("\t")[1] == "demo.map" for row in rows)
+        grid = parse_movingai_map(map_path.read_text())
+        assert read_scenario(text, grid).agents == generate_instance(grid, 3, 2).agents
+
+    def test_gen_instance_generation_failure(self, tmp_path, capsys):
+        # 16x16 at seed 1 holds only 36 of the 60 agents
+        out = tmp_path / "full.scen"
+        code = main(
+            ["gen-instance", "--agents", "60", "--width", "16", "--height", "16", "--seed", "1",
+             "--out", str(out)]
+        )
+        assert code == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("generation failed:")
+        assert not out.exists()
+
     def test_gen_instance_rejects_map_name_with_space(self, tmp_path, capsys):
         out = tmp_path / "d.scen"
         map_out = tmp_path / "my map.map"
@@ -260,6 +334,20 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "iterations=" in out and "comm_bits=" in out
+
+    def test_solve_variant_paths_out_validates(self, tmp_path, instance_files, capsys):
+        map_path, scen_path = instance_files
+        files = ["--map", str(map_path), "--scen", str(scen_path)]
+        paths_out = tmp_path / "variant.paths"
+        assert main(["solve-variant", *files, "--paths-out", str(paths_out)]) == 0
+        capsys.readouterr()
+        assert main(["validate", *files, "--paths", str(paths_out)]) == 0
+        assert capsys.readouterr().out == "solution valid (3 agents)\n"
+
+    def test_validate_without_paths(self, instance_files, capsys):
+        map_path, scen_path = instance_files
+        assert main(["validate", "--map", str(map_path), "--scen", str(scen_path)]) == 0
+        assert capsys.readouterr().out == "instance valid (3 agents)\n"
 
     def test_worker_flag_rejected(self, instance_files, capsys):
         map_path, scen_path = instance_files

@@ -50,6 +50,20 @@ class TestParseMovingai:
         with pytest.raises(MapFormatError):
             parse_movingai_map("type octile\nheight 2\nmap\n..\n..\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("type octile\nheight 2\n", "unexpected end of map header"),
+            ("type octile\nheight two\nwidth 2\nmap\n..\n..\n", "non-integer map dimension"),
+            ("type octile\nheight 2\nheight 2\nmap\n..\n..\n", "both height and width"),
+            ("type octile\nheight 0\nwidth 2\nmap\n", "dimensions must be positive"),
+            ("type octile\nheight 2\nwidth 2\n..\n..\n", "missing `map` header line"),
+        ],
+    )
+    def test_bad_header_rejected(self, text, message):
+        with pytest.raises(MapFormatError, match=message):
+            parse_movingai_map(text)
+
     def test_missing_rows_rejected(self):
         with pytest.raises(MapFormatError):
             parse_movingai_map("type octile\nheight 3\nwidth 2\nmap\n..\n..\n")

@@ -20,6 +20,7 @@ from mapfkit import (
     TimedPath,
     astar_static,
     build_intersection_graph,
+    compare,
     generate_instance,
     generate_random_map,
     solve_hca,
@@ -31,6 +32,14 @@ from mapfkit import (
 import mapfkit.search
 import mapfkit.solver
 from oracles import joint_min_makespan, time_expanded_shortest
+
+
+def clock_spent_after_first_read():
+    """A stand-in for ``mapfkit.solver.time`` that reads 0 s once, when a
+    planner sets its deadline, and 100 s from then on, so any budget below
+    that is spent before the first search."""
+    reads = iter([0.0])
+    return SimpleNamespace(perf_counter=lambda: next(reads, 100.0))
 
 
 def crossing_pairs_instance():
@@ -233,10 +242,11 @@ class TestSolveHca:
         order = np.random.default_rng(0).permutation(inst.n_agents)
         assert solve_hca(inst, order).paths == solve_hca(inst, order.tolist()).paths
 
-    def test_timeout(self):
+    def test_timeout(self, monkeypatch):
+        monkeypatch.setattr(mapfkit.solver, "time", clock_spent_after_first_read())
         inst = crossing_pairs_instance()
         with pytest.raises(SolveTimeout):
-            solve_hca(inst, [0, 1, 2, 3], timeout=-1.0)
+            solve_hca(inst, [0, 1, 2, 3], timeout=1.0)
 
     def test_restart_promotes_the_failed_agent(self, monkeypatch):
         # under [0, 1] agent 0 parks in the gap and seals agent 1 off; the
@@ -628,15 +638,18 @@ class TestBoundedSearch:
             assert exc.value.agent == 3
             assert searched == [0, 1, 2]
 
-    def test_variant_timeout_between_rounds_names_first_pending(self):
+    def test_variant_timeout_between_rounds_names_first_pending(self, monkeypatch):
+        monkeypatch.setattr(mapfkit.solver, "time", clock_spent_after_first_read())
         inst = crossing_pairs_instance()
         with pytest.raises(SolveTimeout) as exc:
-            solve_variant(inst, timeout=-1.0)
+            solve_variant(inst, timeout=1.0)
         assert exc.value.agent == 0
 
-    def test_nan_timeout_rejected_before_any_search(self, monkeypatch):
+    @pytest.mark.parametrize("timeout", [float("nan"), 0.0, -1.0])
+    def test_bad_timeout_rejected_before_any_search(self, monkeypatch, timeout):
         # every comparison with a NaN deadline is false, so a NaN budget
-        # would never run out
+        # would never run out, and one at or below 0 is spent before it
+        # starts: each is an error, not a timed-out solve or a failed pair
         searched = []
         search = mapfkit.solver.space_time_astar
 
@@ -647,10 +660,11 @@ class TestBoundedSearch:
         monkeypatch.setattr(mapfkit.solver, "space_time_astar", counted)
         inst = crossing_pairs_instance()
         for solve in (
-            lambda: solve_hca(inst, [0, 1, 2, 3], timeout=float("nan")),
-            lambda: solve_variant(inst, timeout=float("nan")),
+            lambda: solve_hca(inst, [0, 1, 2, 3], timeout=timeout),
+            lambda: solve_variant(inst, timeout=timeout),
+            lambda: compare(inst, [0, 1, 2, 3], timeout=timeout),
         ):
-            with pytest.raises(ValueError, match="nan"):
+            with pytest.raises(ValueError, match=f"positive number of seconds, got {timeout}"):
                 solve()
         assert searched == []
 
