@@ -29,8 +29,9 @@ from .solver import (
 
 @dataclass
 class BenchmarkRecord:
-    """One paired solve. Ratio fields are None unless both planners
-    succeeded; ``comm_*`` fields are None only when the variant failed.
+    """One paired solve. Both wall times are set whenever the planners ran;
+    ratio fields need both planners to succeed, and ``variant_ideal_seconds``
+    and the ``comm_*`` fields need the variant to succeed (else None).
 
     A cost ratio of two zero-cost plans (every agent starts on its goal, or
     there are no agents) reads 1.0. A time ratio or ``speedup`` whose
@@ -117,7 +118,7 @@ def compare(
         variant, trace = solve_variant(instance, timeout)
     except SolveFailure:
         variant, trace = None, None
-    variant_seconds = time.perf_counter() - t0
+    record.variant_wall_seconds = time.perf_counter() - t0
 
     if hca is not None:
         record.hca_sum_of_costs = hca.sum_of_costs
@@ -128,7 +129,6 @@ def compare(
         record.iterations = trace.n_iterations
         record.comm_bits = trace.ledger.total_bits()
         record.comm_seconds = comm_time(trace.ledger, data_rate)
-        record.variant_wall_seconds = variant_seconds
         record.variant_ideal_seconds = trace.ideal_parallel_seconds
     if hca is None and variant is None:
         record.status = "both_failed"

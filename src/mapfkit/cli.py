@@ -18,10 +18,9 @@ import numpy as np
 from .bench import BenchConfig, emit_csv, emit_plot_data, run_benchmark
 from .comm import check_data_rate, comm_time
 from .conflicts import validate_solution
-from .grid import GridMap, MapFormatError, generate_random_map, parse_movingai_map, serialize_movingai_map
+from .grid import GridMap, generate_random_map, parse_movingai_map, serialize_movingai_map
 from .instances import (
     GenerationError,
-    ScenarioFormatError,
     generate_instance,
     read_scenario,
     write_instance_metadata,
@@ -235,7 +234,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.func(args)
-    except (OSError, MapFormatError, ScenarioFormatError, InvalidInstanceError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every format and instance error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GenerationError as exc:

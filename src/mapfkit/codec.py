@@ -10,6 +10,9 @@ bits per coordinate. For a single-segment path of length L starting at t=0
 this comes to 3L + delta bits with delta = 3 + ceil(log2 n_agents) +
 2*ceil(log2 map_side), against 2*ceil(log2 map_side) per move for raw
 coordinate dumps.
+
+Each rule is stated once: ``EncodedSegment`` checks the fields, one reader
+holds the grammar both wire forms share, and one check fits the packed header.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ from .grid import Coord
 
 MOVE_OF_DELTA = {(1, 0): "r", (-1, 0): "l", (0, 1): "u", (0, -1): "d", (0, 0): "w"}
 DELTA_OF_MOVE = {v: k for k, v in MOVE_OF_DELTA.items()}
-SYMBOL_CODES = {"r": 0, "l": 1, "u": 2, "d": 3, "w": 4, "n": 5, "e": 6}
-CODE_SYMBOLS = {v: k for k, v in SYMBOL_CODES.items()}
+# A symbol's 3-bit code is its index here, so a code is one octal digit.
+# The unused code 7 decodes to the digit itself, which the grammar rejects.
+SYMBOLS = "rludwne"
+_DIGIT_OF = str.maketrans(SYMBOLS, "0123456")
+_SYMBOL_OF = {digit: sym for sym, digit in _DIGIT_OF.items()}
 BITS_PER_SYMBOL = 3
 
 
@@ -43,9 +49,18 @@ def header_widths(n_agents: int, map_side: int) -> tuple[int, int, int]:
     return ceil_log2(n_agents), coord_w, coord_w
 
 
+def _check_header(agent: int, start: Coord, n_agents: int, map_side: int) -> None:
+    """The packed header's range rule. Its fields are never negative here:
+    ``EncodedSegment`` refuses that, and unpacked fields are unsigned."""
+    if agent >= n_agents or max(start) >= map_side:
+        raise CodecError(f"agent {agent} at {start} out of range for {(n_agents, map_side)}")
+
+
 @dataclass(frozen=True)
 class EncodedSegment:
-    """Wire form of one segment: header fields plus the move-symbol string."""
+    """Wire form of one segment: header fields plus the move-symbol string.
+    It owns the field rule (no negative agent id, start coordinate or start
+    time; moves from ``rludw``), so its text form always parses back to it."""
 
     agent: int
     start: Coord
@@ -53,11 +68,10 @@ class EncodedSegment:
     moves: str
 
     def __post_init__(self):
-        if self.start_time < 0:
-            raise ValueError("start time must be nonnegative")
-        bad = set(self.moves) - set(DELTA_OF_MOVE)
-        if bad:
-            raise ValueError(f"invalid move symbols: {sorted(bad)}")
+        if min(self.agent, *self.start, self.start_time) < 0:
+            raise CodecError(f"negative header field: {self}")
+        if self.moves.strip("rludw"):
+            raise CodecError(f"invalid move symbols in {self.moves!r}")
 
     @property
     def length(self) -> int:
@@ -96,37 +110,39 @@ def decode_segment(enc: EncodedSegment) -> SubpathSegment:
     return SubpathSegment(enc.agent, -1, tuple(states))
 
 
-def parse_encoded(text: str) -> EncodedSegment:
-    """Parse the spaced text form back into an encoded segment.
+def _read_symbols(agent: int, start: Coord, symbols) -> EncodedSegment:
+    """The grammar of both wire forms: ``n`` markers, then moves, then ``e``.
+    Consumes ``symbols`` through the ``e``; the caller checks what follows."""
+    start_time = 0
+    moves = []
+    for sym in symbols:
+        if sym == "e":
+            return EncodedSegment(agent, start, start_time, "".join(moves))
+        if sym in DELTA_OF_MOVE:
+            moves.append(sym)
+        elif sym != "n":
+            raise CodecError(f"unknown symbol {sym!r}")
+        elif moves:
+            raise CodecError("`n` marker after moves")
+        else:
+            start_time += 1
+    raise CodecError("missing terminator `e`")
 
-    Raises CodecError for short or malformed streams: a negative header field,
-    missing terminator, unknown symbols, ``n`` after moves, trailing symbols.
-    """
+
+def parse_encoded(text: str) -> EncodedSegment:
+    """Parse the spaced text form back into an encoded segment. It owns the
+    text framing (three integer header tokens, nothing after ``e``) and
+    raises CodecError for any stream ``EncodedSegment.text`` cannot write."""
     tokens = text.split()
-    if len(tokens) < 4:
-        raise CodecError("stream too short")
     try:
-        agent, x, y = int(tokens[0]), int(tokens[1]), int(tokens[2])
+        agent, x, y = map(int, tokens[:3])
     except ValueError as exc:
         raise CodecError(f"malformed header: {tokens[:3]}") from exc
-    if min(agent, x, y) < 0:
-        raise CodecError(f"negative header field: {tokens[:3]}")
-    symbols = tokens[3:]
-    i = 0
-    while i < len(symbols) and symbols[i] == "n":
-        i += 1
-    start_time = i
-    moves = []
-    while i < len(symbols) and symbols[i] in DELTA_OF_MOVE:
-        moves.append(symbols[i])
-        i += 1
-    if i >= len(symbols):
-        raise CodecError("missing terminator `e`")
-    if symbols[i] != "e":
-        raise CodecError(f"unknown symbol {symbols[i]!r}")
-    if i + 1 != len(symbols):
+    rest = iter(tokens[3:])
+    enc = _read_symbols(agent, (x, y), rest)
+    if next(rest, None) is not None:
         raise CodecError("trailing symbols after `e`")
-    return EncodedSegment(agent, (x, y), start_time, "".join(moves))
+    return enc
 
 
 def path_bits(segments, n_agents: int, map_side: int) -> int:
@@ -141,20 +157,17 @@ def path_bits(segments, n_agents: int, map_side: int) -> int:
 def pack_segment(enc: EncodedSegment, n_agents: int, map_side: int) -> bytes:
     """Pack to the canonical bitstream: big-endian fixed-width header, then
     3-bit symbols, zero-padded to a byte boundary. Before padding the length
-    in bits equals ``path_bits([enc], n_agents, map_side)`` exactly."""
-    x, y = enc.start
-    if not 0 <= enc.agent < n_agents:
-        raise ValueError(f"agent id {enc.agent} out of range for {n_agents} agents")
-    if not (0 <= x < map_side and 0 <= y < map_side):
-        raise ValueError(f"start {enc.start} out of range for map side {map_side}")
+    in bits equals ``path_bits([enc], n_agents, map_side)`` exactly. It owns
+    this layout, and raises CodecError for a header out of range."""
+    _check_header(enc.agent, enc.start, n_agents, map_side)
     acc = 0
     nbits = 0
-    for value, width in zip((enc.agent, x, y), header_widths(n_agents, map_side)):
+    for value, width in zip((enc.agent, *enc.start), header_widths(n_agents, map_side)):
         acc = (acc << width) | value
         nbits += width
-    for sym in enc.symbols():
-        acc = (acc << BITS_PER_SYMBOL) | SYMBOL_CODES[sym]
-        nbits += BITS_PER_SYMBOL
+    codes = "".join(enc.symbols()).translate(_DIGIT_OF)
+    acc = (acc << BITS_PER_SYMBOL * len(codes)) | int(codes, 8)
+    nbits += BITS_PER_SYMBOL * len(codes)
     pad = -nbits % 8
     acc <<= pad
     nbits += pad
@@ -163,35 +176,21 @@ def pack_segment(enc: EncodedSegment, n_agents: int, map_side: int) -> bytes:
 
 def unpack_segment(data: bytes, n_agents: int, map_side: int) -> EncodedSegment:
     """Inverse of ``pack_segment``; raises CodecError on any stream it cannot
-    write: truncated, out of range, or with bits past the terminator's padding."""
+    write. It owns the packed framing: a whole header in range, and only zero
+    padding after ``e``. Its 3-bit codes go to the grammar the text form uses."""
     bits = int.from_bytes(data, "big")
-    total = len(data) * 8
-    pos = 0
-
-    def take(width: int) -> int:
-        nonlocal pos
-        if pos + width > total:
-            raise CodecError("truncated stream")
-        pos += width
-        return (bits >> (total - pos)) & ((1 << width) - 1)
-
-    agent, x, y = [take(width) for width in header_widths(n_agents, map_side)]
-    if agent >= n_agents or max(x, y) >= map_side:
-        raise CodecError(f"agent {agent} at ({x}, {y}) out of range")
-    start_time = 0
-    moves: list[str] = []
-    while True:
-        sym = CODE_SYMBOLS.get(take(BITS_PER_SYMBOL))
-        if sym is None:
-            raise CodecError("invalid 3-bit symbol code")
-        if sym == "e":
-            break
-        if sym == "n":
-            if moves:
-                raise CodecError("`n` marker after moves")
-            start_time += 1
-        else:
-            moves.append(sym)
-    if total - pos >= 8 or bits & ((1 << (total - pos)) - 1):
+    agent_w, coord_w, _ = header_widths(n_agents, map_side)
+    left = len(data) * 8 - agent_w - 2 * coord_w  # bits after the header
+    if left < 0:
+        raise CodecError("truncated stream")
+    head, mask = bits >> left, (1 << coord_w) - 1
+    agent, x, y = head >> (2 * coord_w), (head >> coord_w) & mask, head & mask
+    _check_header(agent, (x, y), n_agents, map_side)
+    n_codes, spare = divmod(left, BITS_PER_SYMBOL)
+    codes = format((bits & ((1 << left) - 1)) >> spare, f"0{n_codes}o") if n_codes else ""
+    enc = _read_symbols(agent, (x, y), codes.translate(_SYMBOL_OF))
+    # the reader took one code per marker and move, and one for the `e`
+    left -= BITS_PER_SYMBOL * (enc.start_time + enc.length + 1)
+    if left >= 8 or bits & ((1 << left) - 1):
         raise CodecError("bits after the terminator are not its zero padding")
-    return EncodedSegment(agent, (x, y), start_time, "".join(moves))
+    return enc

@@ -105,6 +105,7 @@ class TestCompare:
         record = compare(inst, [0, 1])
         assert record.status == "both_failed"
         assert record.sum_of_costs_ratio is None
+        assert record.hca_seconds > 0 and record.variant_wall_seconds > 0
 
     def test_variant_failed_status(self):
         # HCA plans all three; the variant fails on agent 2
@@ -113,6 +114,9 @@ class TestCompare:
         assert record.hca_sum_of_costs == 10
         assert record.variant_sum_of_costs is None and record.comm_bits is None
         assert record.sum_of_costs_ratio is None and record.speedup is None
+        # both planners ran, so both wall times are set; the ideal time needs a success
+        assert record.hca_seconds > 0 and record.variant_wall_seconds > 0
+        assert record.variant_ideal_seconds is None
         assert parse_csv(emit_csv([record])) == [record]
 
     def test_hca_failed_status(self):
@@ -238,8 +242,10 @@ class TestPathsDump:
         from mapfkit import solve_hca
 
         solution = solve_hca(inst, [0, 1, 2])
-        again = read_paths(write_paths(solution.paths))
-        assert again == solution.paths
+        text = write_paths(solution.paths)
+        assert read_paths(text) == solution.paths
+        # blank lines, anywhere, are skipped
+        assert read_paths("\n" + text.replace("\n", "\n  \n") + "\n") == solution.paths
 
 
 @pytest.fixture

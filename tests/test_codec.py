@@ -17,6 +17,7 @@ from mapfkit import (
     split_path,
     unpack_segment,
 )
+from mapfkit.codec import header_widths
 
 # the worked example: agent 5 moving on a 12x12 grid, start (0, 0) at t=2
 EXAMPLE_STATES = (
@@ -25,6 +26,19 @@ EXAMPLE_STATES = (
 )
 EXAMPLE_SEGMENT = SubpathSegment(5, 0, EXAMPLE_STATES)
 EXAMPLE_SYMBOLS = "n n r u w r d r u u u l e".split()
+# a symbol's 3-bit code is its index; the unused code 7 is written as "7"
+WIRE_CODES = "rludwne7"
+
+
+def pack_codes(fields, codes, n_agents, map_side):
+    """Pack header fields and raw 3-bit codes as pack_segment lays them out,
+    with no check, so a test can put any code stream on the packed wire."""
+    acc = nbits = 0
+    widths = [*header_widths(n_agents, map_side), *[3] * len(codes)]
+    for value, width in zip([*fields, *codes], widths):
+        acc, nbits = (acc << width) | value, nbits + width
+    pad = -nbits % 8
+    return (acc << pad).to_bytes((nbits + pad) // 8, "big")
 
 
 class TestCeilLog2:
@@ -211,6 +225,7 @@ class TestPackedWire:
             enc = EncodedSegment(agent, (x, y), t, moves)
             out = unpack_segment(pack_segment(enc, n_agents, map_side), n_agents, map_side)
             assert (out.agent, out.start, out.start_time, out.moves) == (agent, (x, y), t, moves)
+            assert parse_encoded(enc.text()) == enc
 
     def test_partition_is_not_on_the_wire(self):
         # the partition id is no part of the transmitted segment, so decoding
@@ -223,10 +238,14 @@ class TestPackedWire:
         assert direct.states == EXAMPLE_STATES and direct.partition == -1
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            pack_segment(EncodedSegment(64, (0, 0), 0, ""), 64, 100)
-        with pytest.raises(ValueError):
-            pack_segment(EncodedSegment(0, (100, 0), 0, ""), 64, 100)
+        # the header rule unpack_segment applies, with the codec's own error
+        for enc in (
+            EncodedSegment(64, (0, 0), 0, ""),
+            EncodedSegment(0, (100, 0), 0, ""),
+            EncodedSegment(0, (0, 100), 0, ""),
+        ):
+            with pytest.raises(CodecError, match="out of range"):
+                pack_segment(enc, 64, 100)
 
     def test_out_of_range_header_not_unpacked(self):
         # 5 agents and side 5 take 3-bit fields, which can carry 5..7, but
@@ -259,5 +278,56 @@ class TestPackedWire:
     def test_truncated_rejected(self):
         enc = encode_segment(EXAMPLE_SEGMENT)
         packed = pack_segment(enc, 64, 12)
+        for cut in (0, 1, 2):  # inside the 14-bit header, then before any `e`
+            with pytest.raises(CodecError):
+                unpack_segment(packed[:cut], 64, 12)
+
+
+class TestSegmentFields:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (-1, (0, 0), 0, ""),
+            (0, (-1, 0), 0, "r"),
+            (0, (0, -2), 0, "r"),
+            (0, (0, 0), -1, ""),
+            (0, (0, 0), 0, "rne"),
+            (0, (0, 0), 0, "R"),
+        ],
+    )
+    def test_bad_field_refused_where_built(self, fields):
         with pytest.raises(CodecError):
-            unpack_segment(packed[:2], 64, 12)
+            EncodedSegment(*fields)
+
+    def test_negative_start_refused_at_encode_time(self):
+        with pytest.raises(CodecError, match="negative header field"):
+            encode_segment(SubpathSegment(0, 0, ((-1, 0, 0), (0, 0, 1))))
+
+
+class TestOneGrammar:
+    """The text and packed readers share one grammar: they accept the same
+    symbol streams and word each fault the same way."""
+
+    @pytest.mark.parametrize(
+        "symbols, verdict",
+        [
+            ("r n e", "`n` marker after moves"),
+            ("n w n e", "`n` marker after moves"),
+            ("n n r", "missing terminator `e`"),
+            ("r 7 e", "unknown symbol '7'"),
+            ("", "missing terminator `e`"),
+            ("n n r u e", EncodedSegment(5, (0, 0), 2, "ru")),
+            ("e", EncodedSegment(5, (0, 0), 0, "")),
+        ],
+    )
+    def test_same_verdict_from_both_readers(self, symbols, verdict):
+        # agent 5 at (0, 0), with 64 agents on side 12: a 14-bit header
+        text = f"5 0 0 {symbols}"
+        packed = pack_codes((5, 0, 0), [WIRE_CODES.index(s) for s in symbols.split()], 64, 12)
+        for read in (lambda: parse_encoded(text), lambda: unpack_segment(packed, 64, 12)):
+            if isinstance(verdict, EncodedSegment):
+                assert read() == verdict
+                continue
+            with pytest.raises(CodecError) as info:
+                read()
+            assert str(info.value) == verdict

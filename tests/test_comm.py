@@ -29,6 +29,10 @@ class TestSourceGoalBits:
     def test_zero_agents(self):
         assert source_goal_bits(0, 100) == 0
 
+    def test_negative_agent_count_rejected(self):
+        with pytest.raises(ValueError, match="agent count must be nonnegative"):
+            source_goal_bits(-1, 8)
+
 
 class TestIterationPathBits:
     def test_no_pending(self):

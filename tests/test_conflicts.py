@@ -260,6 +260,7 @@ class TestIntersectionGraph:
         ig = build_intersection_graph(paths, part)
         assert ig.nodes == (0, 1, 2, 3)
         assert ig.edges == {(0, 1), (2, 3)}
+        assert ig.n_edges == 2
 
     def test_disjoint_paths_edgeless(self):
         grid = GridMap(8, 8)
@@ -271,6 +272,7 @@ class TestIntersectionGraph:
         ]
         ig = build_intersection_graph(paths, part)
         assert ig.edges == frozenset()
+        assert ig.n_edges == 0
 
     @pytest.mark.parametrize("n_parts", [1, 4, 7, 10])
     def test_matches_brute_force(self, n_parts):
@@ -349,6 +351,7 @@ class TestValidateSolution:
         p0 = straight_path(0, [(0, 0), (1, 0)])
         endpoints = [((0, 0), (1, 0)), ((4, 4), (3, 4))]
         assert validate_solution({0: p0}, grid, endpoints) == ["agent 1: no path"]
+        assert validate_solution({}, grid, endpoints) == ["agent 0: no path", "agent 1: no path"]
 
     def test_unknown_agent_reported(self):
         # a path for an agent the endpoints do not list is a violation, not

@@ -255,6 +255,23 @@ class TestPartitioning:
             ys = [y for _, y in cells]
             assert len(cells) == (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: GridMap(0, 1), "map dimensions must be positive"),
+            (lambda: balanced_factorization(0), "n must be positive"),
+            (lambda: Partitioning.for_map(GridMap(4, 4), 0), "n_parts must be positive"),
+            (
+                lambda: Partitioning.for_map(GridMap(4, 4), 4).block_rect(4),
+                "partition id 4 out of range",
+            ),
+        ],
+        ids=["GridMap(0, 1)", "factorization(0)", "for_map(grid, 0)", "block_rect(n_parts)"],
+    )
+    def test_nonpositive_size_or_id_out_of_range_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestNeighbors:
     def test_interior(self):

@@ -77,6 +77,10 @@ class TestGenerateInstance:
             generate_instance(grid, 1, seed=0)
         assert info.value.n_generated == 0
 
+    def test_no_agents_rejected(self):
+        with pytest.raises(ValueError, match="n_agents must be positive"):
+            generate_instance(GridMap(4, 4), 0, seed=0)
+
 
 class TestScenarioIO:
     def test_roundtrip(self):
@@ -160,3 +164,11 @@ class TestMetadataSidecar:
         text = write_instance_metadata(inst)
         assert "seed" not in text
         assert "generation_order" in text
+
+    def test_blank_lines_skipped_and_unknown_keys_kept(self):
+        text = "\nseed: 3\n\n  \nmap: demo.map\ngeneration_order: 1,0\n\n"
+        assert read_instance_metadata(text) == {
+            "seed": 3,
+            "map": "demo.map",
+            "generation_order": (1, 0),
+        }

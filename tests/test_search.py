@@ -65,10 +65,11 @@ class TestAstarStatic:
 
     def test_rejects_blocked_endpoints(self):
         grid = GridMap(3, 3, frozenset({(1, 1)}))
-        with pytest.raises(ValueError):
-            astar_static(grid, (1, 1), (0, 0))
-        with pytest.raises(ValueError):
-            astar_static(grid, (0, 0), (1, 1))
+        for search in (astar_static, space_time_astar):
+            with pytest.raises(ValueError, match="start"):
+                search(grid, (1, 1), (0, 0))
+            with pytest.raises(ValueError, match="goal"):
+                search(grid, (0, 0), (1, 1))
 
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(11)
