@@ -13,9 +13,11 @@ from mapfkit import (
     space_time_astar,
 )
 
-# (1) With nothing reserved, the space-time search is plain A*.
+# (1) With nothing reserved, the space-time search is plain A*. Its
+#     heuristic is built on one map for one goal, so it names both: the
+#     search takes the heuristic, the start and a reservation table.
 grid = GridMap(7, 3)
-path = space_time_astar(grid, (0, 1), (6, 1))
+path = space_time_astar(ReverseResumableAStar(grid, (6, 1)), (0, 1), ReservationTable(grid))
 print("empty table:", path.cells(), f"cost={path.cost}")
 
 # (2) Reserve another agent's path straight down the middle row. The search
@@ -23,13 +25,13 @@ print("empty table:", path.cells(), f"cost={path.cost}")
 rt = ReservationTable(grid)
 blocker = TimedPath(9, tuple((x, 1, x) for x in range(7)))  # left-to-right, parks at (6, 1)
 rt.insert_path(blocker)
-path = space_time_astar(grid, (6, 1), (0, 1), rt)
+path = space_time_astar(ReverseResumableAStar(grid, (0, 1)), (6, 1), rt)
 print("against oncoming traffic:", path.cells(), f"cost={path.cost}")
 
 # (3) Goal stays matter: the blocker parks on (6, 1) forever, so planning
 #     into that cell is infeasible, and arrivals are only accepted when no
 #     reservation touches the goal afterwards.
-blocked = space_time_astar(grid, (0, 0), (6, 1), rt)
+blocked = space_time_astar(ReverseResumableAStar(grid, (6, 1)), (0, 0), rt)
 print("into a parked agent's cell:", blocked)
 
 # (4) The heuristic is an exact static distance, computed lazily by one
@@ -50,5 +52,5 @@ assert d1 == len(astar_static(grid, (0, 1), (6, 1))) - 1
 #     read off the distances, step by step against the table, and only
 #     the cells the read-off cannot decide by a cheap bound settle.
 h = ReverseResumableAStar(grid, (6, 0))
-path = space_time_astar(grid, (0, 0), (6, 0), rt, heuristic=h)
+path = space_time_astar(h, (0, 0), rt)
 print("beside the blocker:", path.cells(), f"cost={path.cost}, settled cells: {h.expanded}")

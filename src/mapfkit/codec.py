@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conflicts import SubpathSegment
-from .grid import Coord
+from .grid import Coord, _integers
 
 MOVE_OF_DELTA = {(1, 0): "r", (-1, 0): "l", (0, 1): "u", (0, -1): "d", (0, 0): "w"}
 DELTA_OF_MOVE = {v: k for k, v in MOVE_OF_DELTA.items()}
@@ -59,8 +59,8 @@ def _check_header(agent: int, start: Coord, n_agents: int, map_side: int) -> Non
 @dataclass(frozen=True)
 class EncodedSegment:
     """Wire form of one segment: header fields plus the move-symbol string.
-    It owns the field rule (no negative agent id, start coordinate or start
-    time; moves from ``rludw``), so its text form always parses back to it."""
+    It owns the field rule (integer agent id, start coordinates and start
+    time, none negative; moves from ``rludw``), so its text parses back to it."""
 
     agent: int
     start: Coord
@@ -68,8 +68,9 @@ class EncodedSegment:
     moves: str
 
     def __post_init__(self):
-        if min(self.agent, *self.start, self.start_time) < 0:
-            raise CodecError(f"negative header field: {self}")
+        fields = (self.agent, *self.start, self.start_time)
+        if not _integers(*fields) or min(fields) < 0:
+            raise CodecError(f"non-integer or negative header field: {self}")
         if self.moves.strip("rludw"):
             raise CodecError(f"invalid move symbols in {self.moves!r}")
 

@@ -32,6 +32,16 @@ class MapFormatError(ValueError):
     """A map text does not follow the expected MovingAI format."""
 
 
+def _integers(*values) -> bool:
+    """True when every value is an integer, NumPy's included: a cell is two
+    of them, and ``(0.5, 0)`` or ``(1.0, 0)`` is none."""
+    try:
+        list(map(operator.index, values))
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class GridMap:
     """Rectangular occupancy grid with a static obstacle set."""
@@ -45,6 +55,8 @@ class GridMap:
             raise ValueError("map dimensions must be positive")
         object.__setattr__(self, "obstacles", frozenset(self.obstacles))
         for x, y in self.obstacles:
+            if (type(x) is not int or type(y) is not int) and not _integers(x, y):
+                raise ValueError(f"obstacle {(x, y)} is not two integers")
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise ValueError(f"obstacle {(x, y)} out of bounds")
 
@@ -53,15 +65,11 @@ class GridMap:
         return self.width * self.height - len(self.obstacles)
 
     def is_free(self, cell: Coord) -> bool:
-        """True for an in-bounds cell off the obstacle set. A cell is two
-        integers, NumPy's included: ``(0.5, 0)`` or ``(1.0, 0)`` is no cell,
-        and so not free."""
+        """True for an in-bounds cell off the obstacle set; a pair that is no
+        cell (see ``_integers``) is not free."""
         x, y = cell
-        if type(x) is not int or type(y) is not int:
-            try:
-                x, y = operator.index(x), operator.index(y)
-            except TypeError:
-                return False
+        if (type(x) is not int or type(y) is not int) and not _integers(x, y):
+            return False
         return 0 <= x < self.width and 0 <= y < self.height and cell not in self.obstacles
 
     def free_cells(self) -> list[Coord]:

@@ -1,8 +1,9 @@
 """Path-search core: a resumable backward search providing exact static
-distances, and space-time A* against a reservation table. A search whose
-goal clears by the static arrival, and whose smallest-id shortest path no
-reservation touches, reads that path off those distances instead, as
-``astar_static`` does.
+distances on one map to one goal, and space-time A* against a reservation
+table, which takes the backward search as its heuristic, map and goal. A
+search whose goal clears by the static arrival, and whose smallest-id
+shortest path no reservation touches, reads that path off those distances
+instead, as ``astar_static`` does.
 
 Time is discrete; every action (move to a 4-neighbor or wait in place) takes
 one step. A path's cost is its arrival time minus its start time, so waiting
@@ -23,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .grid import Coord, GridMap
+from .grid import Coord, GridMap, _integers
 
 TimedState = tuple[int, int, int]  # (x, y, t)
 
@@ -105,7 +106,7 @@ class ReservationTable:
     - ``goal_stays`` is indexed by cell id and gives the time from which the
       final cell of a fixed path is occupied forever, or ``NO_STAY``.
 
-    The public queries take ``(x, y)`` cells and reject cells off the map.
+    The public queries take ``(x, y)`` cells of two integers and reject others.
     """
 
     def __init__(self, grid: GridMap):
@@ -121,6 +122,8 @@ class ReservationTable:
 
     def _cell_id(self, cell: Coord) -> int:
         x, y = cell
+        if (type(x) is not int or type(y) is not int) and not _integers(x, y):
+            raise ValueError(f"cell {cell} is not two integers")
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise ValueError(f"cell {cell} is off the {self.width}x{self.height} map")
         return y * self.width + x
@@ -346,15 +349,14 @@ class ReverseResumableAStar:
         return found
 
 
-def _descend(
-    grid: GridMap, h: ReverseResumableAStar, cell: int, rt: ReservationTable | None
-) -> list[int] | None:
-    """Shortest static path on ``grid`` from the free cell with flat id
+def _descend(h: ReverseResumableAStar, cell: int, rt: ReservationTable | None) -> list[int] | None:
+    """Shortest static path on ``h``'s map from the free cell with flat id
     ``cell``, leaving at t=0, to ``h``'s goal, as flat ids. Each step goes
     to the smallest-id neighbour whose distance is one less. None when the
     goal is unreachable, or when ``rt`` reserves a step of that path: its
     vertex key, a goal stay on its cell, or the swap key of its move (see
-    ``ReservationTable``). With no table no step is reserved.
+    ``ReservationTable``). ``astar_static`` passes no table, and then no
+    step is reserved.
 
     A neighbour is settled only when no cheap test decides it. A grid is
     bipartite, so a neighbour of a cell at distance d + 1 is at d or d + 2.
@@ -366,6 +368,7 @@ def _descend(
     d = h._distance(cell)
     if d is None:
         return None
+    grid = h.grid
     table = grid.neighbor_table
     dist, best, settle = h.dist, h._best, h._distance
     w = grid.width
@@ -406,17 +409,17 @@ def _descend(
 
 
 def space_time_astar(
-    grid: GridMap,
+    h: ReverseResumableAStar,
     start: Coord,
-    goal: Coord,
-    rt: ReservationTable | None = None,
+    rt: ReservationTable,
     *,
-    heuristic: ReverseResumableAStar | None = None,
     agent: int = 0,
     deadline: float | None = None,
 ) -> TimedPath | None:
-    """Minimum-arrival-time path from ``(start, 0)`` to ``goal`` honoring
-    the reservation table, or None if no such path exists.
+    """Minimum-arrival-time path from ``(start, 0)`` to ``h.goal`` on
+    ``h.grid`` honoring the reservation table, or None if no such path
+    exists. The heuristic names the search's map and goal, so neither is
+    passed again; ``rt`` must be built for that map.
 
     Arrival at the goal is accepted only when parking there forever is safe:
     no reservation touches the goal cell at or after the arrival time, so a
@@ -425,13 +428,12 @@ def space_time_astar(
     generated, so results are reproducible.
 
     Heuristic: ``h(c, t) = max(d(c), clear - t)``, where ``d`` is the exact
-    static distance to the goal (``heuristic``, built here when omitted for
-    this map, and rejected when built for another) and ``clear`` is
-    ``rt.goal_clear_time(goal)``, 0 with no ``rt``. It is admissible, since
-    the path needs ``d(c)`` more steps and no arrival before ``clear`` is
-    accepted, and consistent, since each step or wait lowers either term by
-    at most 1. So ``f = max(t + d(c), clear)``, and a goal that is busy
-    until late costs no search over every state that could wait for it.
+    static distance to the goal, read from ``h``, and ``clear`` is
+    ``rt.goal_clear_time(h.goal)``. It is admissible, since the path needs
+    ``d(c)`` more steps and no arrival before ``clear`` is accepted, and
+    consistent, since each step or wait lowers either term by at most 1. So
+    ``f = max(t + d(c), clear)``, and a goal that is busy until late costs
+    no search over every state that could wait for it.
 
     Static tail: after ``rt.last_time`` no vertex or edge reservation is
     left, only goal stays, and those last forever. There a cell reached at
@@ -455,35 +457,22 @@ def space_time_astar(
     first reserved step the read-off stops and the heap search runs from the
     start. It pops that same prefix first and settles every free neighbour
     of each state it pops, so the stopped read-off settled little that the
-    search would not. With no ``rt`` nothing is reserved and the read-off
-    always succeeds.
+    search would not. An empty table reserves nothing, and there the
+    read-off always succeeds.
 
     ``deadline`` is an absolute ``time.perf_counter()`` reading. The clock
     is read every ``DEADLINE_CHECK_POPS`` pops, and ``TimeoutError`` is
     raised once it has passed; a search that pops fewer states never reads
     it, and a free descent pops none.
     """
+    grid = h.grid
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
-    if not grid.is_free(goal):
-        raise ValueError(f"goal {goal} is not a free cell")
-    if rt is not None:
-        if (rt.width, rt.height) != (grid.width, grid.height):
-            raise ValueError(f"reservation table was built for a {rt.width}x{rt.height} map")
-        if not rt.is_vertex_free(start, 0):
-            raise ValueError(f"start {start} is reserved at t=0")
-    if heuristic is None:
-        h = ReverseResumableAStar(grid, goal)
-    else:
-        h = heuristic
-        if h.goal != goal:
-            raise ValueError(f"heuristic was built for goal {h.goal}, not {goal}")
-        if h.grid is not grid and h.grid != grid:
-            raise ValueError(
-                f"heuristic was built for another map, {h.grid.width}x{h.grid.height}"
-                f" with {len(h.grid.obstacles)} obstacles"
-            )
-    clear = 0 if rt is None else rt.goal_clear_time(goal)
+    if (rt.width, rt.height) != (grid.width, grid.height):
+        raise ValueError(f"reservation table was built for a {rt.width}x{rt.height} map")
+    if not rt.is_vertex_free(start, 0):
+        raise ValueError(f"start {start} is reserved at t=0")
+    clear = rt.goal_clear_time(h.goal)
     if clear is None:
         return None
     w = grid.width
@@ -492,12 +481,12 @@ def space_time_astar(
     if h_start is None:
         return None
     if h_start >= clear:
-        cells = _descend(grid, h, start_id, rt)
+        cells = _descend(h, start_id, rt)
         if cells is not None:
             return TimedPath(agent, tuple((c % w, c // w, t) for t, c in enumerate(cells)))
 
     area = w * grid.height
-    goal_id = grid.cell_id(goal)
+    goal_id = h._goal_id
 
     # A state is packed as ``t * area + c``, the table's vertex key, and a
     # move as the key the table holds for a fixed move it would swap with.
@@ -581,12 +570,13 @@ def space_time_astar(
 def astar_static(grid: GridMap, start: Coord, goal: Coord) -> list[Coord] | None:
     """Shortest 4-connected path on the static map as a cell sequence, or
     None when disconnected: the cells of ``_descend``, the path that
-    ``space_time_astar`` returns with no reservations. So single-agent plans
-    and first-round candidate paths of the iterated solver are identical.
+    ``space_time_astar`` returns against an empty table. So single-agent
+    plans and first-round candidate paths of the iterated solver are
+    identical.
     """
     if not grid.is_free(start):
         raise ValueError(f"start {start} is not a free cell")
-    cells = _descend(grid, ReverseResumableAStar(grid, goal), grid.cell_id(start), None)
+    cells = _descend(ReverseResumableAStar(grid, goal), grid.cell_id(start), None)
     if cells is None:
         return None
     w = grid.width

@@ -243,11 +243,9 @@ def _plan(
     empty search against an empty table is final (see ``_with_restarts``)."""
     if time.perf_counter() > deadline:
         raise SolveTimeout(f"timed out after {timeout} s", agent=agent)
-    src, dst = instance.agents[agent]
+    src = instance.agents[agent][0]
     try:
-        path = space_time_astar(
-            instance.grid, src, dst, rt, heuristic=heuristic, agent=agent, deadline=deadline
-        )
+        path = space_time_astar(heuristic, src, rt, agent=agent, deadline=deadline)
     except TimeoutError:
         raise SolveTimeout(f"timed out after {timeout} s", agent=agent) from None
     if path is None:

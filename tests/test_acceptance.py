@@ -16,6 +16,7 @@ from mapfkit import (
     GridMap,
     Partitioning,
     ReservationTable,
+    ReverseResumableAStar,
     SubpathSegment,
     balanced_factorization,
     build_intersection_graph,
@@ -91,7 +92,7 @@ def test_criterion_01_space_time_search_matches_oracle():
             continue
         horizon = rt.last_time + w * h
         expected = time_expanded_shortest(grid, start, goal, fixed, 0, horizon)
-        path = space_time_astar(grid, start, goal, rt)
+        path = space_time_astar(ReverseResumableAStar(grid, goal), start, rt)
         got = None if path is None else path.arrival_time
         assert got == expected, (
             f"cost mismatch on {w}x{h} map, {len(fixed)} reserved paths: "

@@ -293,6 +293,8 @@ class TestSegmentFields:
             (0, (0, 0), -1, ""),
             (0, (0, 0), 0, "rne"),
             (0, (0, 0), 0, "R"),
+            (0, (0.5, 0), 0, "r"),
+            (0, (0, 0), 1.5, ""),
         ],
     )
     def test_bad_field_refused_where_built(self, fields):

@@ -293,6 +293,16 @@ class TestNeighbors:
         assert grid.is_free((np.int64(1), np.int32(2)))
         assert grid.is_free((True, 0))  # a bool is an int
 
+    def test_obstacle_of_two_integers_or_refused_where_built(self):
+        # a pair that is no cell is refused with the map, before n_free or
+        # the neighbour table, which indexes by it, can read it
+        for cell in ((0.5, 0), (1.0, 0), (0, "1")):
+            with pytest.raises(ValueError, match="is not two integers"):
+                GridMap(3, 3, frozenset({cell}))
+        grid = GridMap(3, 3, frozenset({(np.int64(1), np.int32(0))}))
+        assert grid.n_free == 8 and not grid.is_free((1, 0))
+        assert len(grid.neighbor_table) == 9
+
     def test_rejects_blocked_and_off_map_cells(self):
         grid = GridMap(3, 3, frozenset({(1, 0)}))
         for cell in ((1, 0), (3, 0), (-1, 1), (0, 3)):

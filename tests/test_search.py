@@ -64,12 +64,17 @@ class TestAstarStatic:
         assert astar_static(grid, (0, 0), (2, 0)) is None
 
     def test_rejects_blocked_endpoints(self):
+        # a space-time search's goal is its heuristic's, refused where the
+        # heuristic is built
         grid = GridMap(3, 3, frozenset({(1, 1)}))
-        for search in (astar_static, space_time_astar):
-            with pytest.raises(ValueError, match="start"):
-                search(grid, (1, 1), (0, 0))
-            with pytest.raises(ValueError, match="goal"):
-                search(grid, (0, 0), (1, 1))
+        with pytest.raises(ValueError, match="start"):
+            astar_static(grid, (1, 1), (0, 0))
+        with pytest.raises(ValueError, match="start"):
+            space_time_astar(ReverseResumableAStar(grid, (0, 0)), (1, 1), ReservationTable(grid))
+        with pytest.raises(ValueError, match="goal"):
+            astar_static(grid, (0, 0), (1, 1))
+        with pytest.raises(ValueError, match="goal"):
+            ReverseResumableAStar(grid, (1, 1))
 
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(11)
@@ -111,15 +116,14 @@ class TestAstarStatic:
         for grid, s, g in self.descent_cases():
             expected = bfs_descent(grid, s, g)
             assert astar_static(grid, s, g) == expected, (s, g)
-            for rt in (None, ReservationTable(grid)):
-                path = space_time_astar(grid, s, g, rt)
-                assert (None if path is None else path.cells()) == expected, (s, g)
+            path = space_time_astar(ReverseResumableAStar(grid, g), s, ReservationTable(grid))
+            assert (None if path is None else path.cells()) == expected, (s, g)
             unreachable += expected is None
         assert unreachable
 
     def test_matches_space_time_search(self):
-        # the tie-broken space-time A* oracle is the reference, against no
-        # table and against one agent waiting in another component of the
+        # the tie-broken space-time A* oracle is the reference, against an
+        # empty table and against one agent waiting in another component of the
         # map, far out of reach: a table whose reservations miss the path
         compared = 0
         for grid, s, g in self.descent_cases():
@@ -136,7 +140,8 @@ class TestAstarStatic:
                 states = tie_broken_space_time_path(grid, s, g, fixed, horizon)
                 expected = None if states is None else [state[:2] for state in states]
                 assert astar_static(grid, s, g) == expected, (s, g)
-                path = space_time_astar(grid, s, g, rt if fixed else None)
+                table = rt if fixed else ReservationTable(grid)
+                path = space_time_astar(ReverseResumableAStar(grid, g), s, table)
                 assert (None if path is None else path.states) == states, (s, g)
             compared += 1
         assert compared > 2000
@@ -239,9 +244,9 @@ class TestReservationTable:
     def test_insert_then_replan_avoids_everything(self):
         grid = GridMap(4, 4)
         rt = ReservationTable(grid)
-        first = space_time_astar(grid, (0, 0), (3, 0), rt)
+        first = space_time_astar(ReverseResumableAStar(grid, (3, 0)), (0, 0), rt)
         rt.insert_path(first)
-        second = space_time_astar(grid, (0, 1), (3, 1), rt)
+        second = space_time_astar(ReverseResumableAStar(grid, (3, 1)), (0, 1), rt)
         rt.insert_path(second)  # would raise if it collided
         assert second is not None
 
@@ -293,6 +298,23 @@ class TestReservationTable:
         with pytest.raises(ValueError):
             rt.is_vertex_free((0, 2), 0)
         assert rt.vertices == set() and rt.edges == set()
+
+    def test_queries_take_cells_of_two_integers(self):
+        # each query refuses a pair that is no cell the same way, as it
+        # refuses one off the map; NumPy integers are cells
+        rt = ReservationTable(GridMap(3, 2))
+        rt.insert_path(TimedPath(0, ((0, 0, 0), (1, 0, 1))))
+        for query in (
+            lambda: rt.goal_clear_time((0.5, 0)),
+            lambda: rt.is_vertex_free((0, 0.0), 0),
+            lambda: rt.is_move_free((0.5, 0), (1, 0), 0),
+            lambda: rt.is_move_free((1, 0), (1.0, 1), 0),
+        ):
+            with pytest.raises(ValueError, match="is not two integers"):
+                query()
+        assert rt.goal_clear_time((np.int64(1), 0)) is None
+        assert not rt.is_vertex_free((np.int64(0), np.int32(0)), 0)
+        assert not rt.is_move_free((np.int64(0), 0), (1, 0), 0)
 
 
 def table_state(rt):
@@ -413,7 +435,7 @@ class TestOnePassInsert:
 class TestSpaceTimeAstar:
     def test_reduces_to_astar_without_reservations(self):
         grid = GridMap(3, 1)
-        path = space_time_astar(grid, (0, 0), (2, 0), ReservationTable(grid))
+        path = space_time_astar(ReverseResumableAStar(grid, (2, 0)), (0, 0), ReservationTable(grid))
         assert path.cost == 2
         assert path.cells() == [(0, 0), (1, 0), (2, 0)]
 
@@ -422,14 +444,14 @@ class TestSpaceTimeAstar:
         grid = GridMap(3, 3)
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(1, ((1, 1, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3))))
-        path = space_time_astar(grid, (0, 0), (2, 0), rt)
+        path = space_time_astar(ReverseResumableAStar(grid, (2, 0)), (0, 0), rt)
         assert path.cost == 3  # wait once, then proceed
 
     def test_detours_around_goal_stay(self):
         grid = GridMap(3, 2)
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(9, ((1, 1, 0), (1, 0, 1))))  # parks on (1, 0) from t=1
-        path = space_time_astar(grid, (0, 0), (2, 0), rt)
+        path = space_time_astar(ReverseResumableAStar(grid, (2, 0)), (0, 0), rt)
         assert path.cost == 4
         assert path.cells() == [(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)]
 
@@ -439,7 +461,7 @@ class TestSpaceTimeAstar:
         grid = GridMap(5, 5)
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(7, ((2, 4, 0), (2, 3, 1), (2, 2, 2), (2, 1, 3), (2, 0, 4))))
-        path = space_time_astar(grid, (2, 0), (2, 1), rt)
+        path = space_time_astar(ReverseResumableAStar(grid, (2, 1)), (2, 0), rt)
         assert path is not None
         assert path.arrival_time > 3
 
@@ -447,7 +469,7 @@ class TestSpaceTimeAstar:
         grid = GridMap(3, 1)
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(1, ((1, 0, 0), (1, 0, 1))))  # parks mid-corridor
-        assert space_time_astar(grid, (0, 0), (2, 0), rt) is None
+        assert space_time_astar(ReverseResumableAStar(grid, (2, 0)), (0, 0), rt) is None
 
     def test_start_equals_goal_with_eviction(self):
         # another agent passes through the cell: leave, loop around, return
@@ -456,7 +478,7 @@ class TestSpaceTimeAstar:
         rt.insert_path(
             TimedPath(101, ((4, 1, 0), (4, 0, 1), (4, 0, 2), (4, 0, 3), (3, 0, 4), (3, 1, 5), (3, 2, 6)))
         )
-        path = space_time_astar(grid, (4, 0), (4, 0), rt)
+        path = space_time_astar(ReverseResumableAStar(grid, (4, 0)), (4, 0), rt)
         assert path is not None
         assert path.arrival_time == 4
         assert rt.path_conflict(path) is None
@@ -466,40 +488,22 @@ class TestSpaceTimeAstar:
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(1, ((0, 0, 0), (1, 0, 1))))
         with pytest.raises(ValueError):
-            space_time_astar(grid, (0, 0), (2, 0), rt)
+            space_time_astar(ReverseResumableAStar(grid, (2, 0)), (0, 0), rt)
 
     def test_optional_arguments_are_keyword_only(self):
-        # a stale start time passed by position is an error, not a heuristic
+        # a stale start time passed by position is an error, and so is a
+        # search with no table
         grid = GridMap(3, 1)
+        h = ReverseResumableAStar(grid, (2, 0))
         with pytest.raises(TypeError):
-            space_time_astar(grid, (0, 0), (2, 0), ReservationTable(grid), 0)
-
-    def test_mismatched_heuristic_rejected(self):
-        grid = GridMap(4, 4)
-        h = ReverseResumableAStar(grid, (1, 1))
-        with pytest.raises(ValueError):
-            space_time_astar(grid, (0, 0), (3, 3), heuristic=h)
-
-    def test_heuristic_for_another_map_size_rejected(self):
-        h = ReverseResumableAStar(GridMap(5, 5), (2, 2))
-        with pytest.raises(ValueError, match="5x5"):
-            space_time_astar(GridMap(8, 8), (0, 0), (2, 2), heuristic=h)
-
-    def test_heuristic_for_another_map_rejected(self):
-        # same size, other obstacles: its distances are not this map's, and
-        # a path read off them would cost 8 where 4 is shortest
-        grid = GridMap(5, 3)
-        h = ReverseResumableAStar(GridMap(5, 3, frozenset({(1, 0), (1, 1)})), (4, 0))
-        with pytest.raises(ValueError, match="another map"):
-            space_time_astar(grid, (0, 0), (4, 0), heuristic=h)
-        # an equal map built apart is the same map
-        h = ReverseResumableAStar(GridMap(5, 3), (4, 0))
-        assert space_time_astar(grid, (0, 0), (4, 0), heuristic=h).cost == 4
+            space_time_astar(h, (0, 0), ReservationTable(grid), 0)
+        with pytest.raises(TypeError):
+            space_time_astar(h, (0, 0))
 
     def test_table_for_another_map_size_rejected(self):
         rt = ReservationTable(GridMap(5, 5))
         with pytest.raises(ValueError, match="5x5"):
-            space_time_astar(GridMap(8, 8), (0, 0), (2, 2), rt)
+            space_time_astar(ReverseResumableAStar(GridMap(8, 8), (2, 2)), (0, 0), rt)
 
     def test_goal_under_a_stay_fails_at_once(self):
         # another agent parks on the goal: no arrival is ever safe, and the
@@ -508,7 +512,7 @@ class TestSpaceTimeAstar:
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(1, ((20, 20, 0), (21, 20, 1))))
         h = ReverseResumableAStar(grid, (21, 20))
-        assert space_time_astar(grid, (0, 0), (21, 20), rt, heuristic=h) is None
+        assert space_time_astar(h, (0, 0), rt) is None
         assert h.expanded == 0
 
     def test_past_deadline_cuts_a_long_search(self):
@@ -520,9 +524,10 @@ class TestSpaceTimeAstar:
         rt = ReservationTable(grid)
         held = tuple((30, 30, t) for t in range(401)) + ((31, 30, 401), (31, 31, 402))
         rt.insert_path(TimedPath(1, held))
+        h = ReverseResumableAStar(grid, (59, 59))
         with pytest.raises(TimeoutError):
-            space_time_astar(grid, (0, 0), (59, 59), rt, deadline=time.perf_counter() - 1.0)
-        path = space_time_astar(grid, (0, 0), (59, 59), rt, deadline=time.perf_counter() + 60)
+            space_time_astar(h, (0, 0), rt, deadline=time.perf_counter() - 1.0)
+        path = space_time_astar(h, (0, 0), rt, deadline=time.perf_counter() + 60)
         assert path.arrival_time == 401 + 1 + 57  # into the gap at 401, then the free walk
         assert rt.path_conflict(path) is None
 
@@ -534,9 +539,8 @@ class TestSpaceTimeAstar:
         # is never read
         grid = GridMap(40, 40)
         h = ReverseResumableAStar(grid, (39, 39))
-        path = space_time_astar(
-            grid, (0, 0), (39, 39), heuristic=h, deadline=time.perf_counter() - 1.0
-        )
+        rt = ReservationTable(grid)
+        path = space_time_astar(h, (0, 0), rt, deadline=time.perf_counter() - 1.0)
         assert path.cost == 78
         assert h.expanded < 200
 
@@ -549,9 +553,7 @@ class TestSpaceTimeAstar:
         rt = ReservationTable(grid)
         rt.insert_path(TimedPath(1, ((0, 39, 0),)))
         h = ReverseResumableAStar(grid, (39, 39))
-        path = space_time_astar(
-            grid, (0, 0), (39, 39), rt, heuristic=h, deadline=time.perf_counter() - 1.0
-        )
+        path = space_time_astar(h, (0, 0), rt, deadline=time.perf_counter() - 1.0)
         assert path.cost == 78
         assert h.expanded < 200
 
@@ -562,11 +564,12 @@ class TestSpaceTimeAstar:
         # interval, so a deadline already past is never read
         grid = GridMap(30, 30)
         rt = ReservationTable(grid)
-        route = space_time_astar(grid, (0, 0), (29, 29), rt, agent=1)
+        route = space_time_astar(ReverseResumableAStar(grid, (29, 29)), (0, 0), rt, agent=1)
         rt.insert_path(route)
         x, y, _ = route.states[3 * len(route.states) // 4]
         start = grid.neighbors4((x, y))[0]
-        path = space_time_astar(grid, start, (x, y), rt, deadline=time.perf_counter() - 1.0)
+        h = ReverseResumableAStar(grid, (x, y))
+        path = space_time_astar(h, start, rt, deadline=time.perf_counter() - 1.0)
         horizon = rt.last_time + grid.width * grid.height
         assert path.arrival_time == time_expanded_shortest(grid, start, (x, y), [route], 0, horizon)
         assert rt.path_conflict(path) is None
@@ -597,9 +600,9 @@ class TestSpaceTimeAstar:
         grid = generate_random_map(12, 12, 0.2, seed=2)
         free = grid.free_cells()
         rt = ReservationTable(grid)
-        rt.insert_path(space_time_astar(grid, free[0], free[-1], rt, agent=0))
-        a = space_time_astar(grid, free[3], free[-4], rt, agent=1)
-        b = space_time_astar(grid, free[3], free[-4], rt, agent=1)
+        rt.insert_path(space_time_astar(ReverseResumableAStar(grid, free[-1]), free[0], rt))
+        a = space_time_astar(ReverseResumableAStar(grid, free[-4]), free[3], rt, agent=1)
+        b = space_time_astar(ReverseResumableAStar(grid, free[-4]), free[3], rt, agent=1)
         assert a == b
 
     def test_matches_time_expanded_oracle(self):
@@ -625,7 +628,7 @@ class TestSpaceTimeAstar:
                 continue
             horizon = rt.last_time + grid.width * grid.height
             expected = time_expanded_shortest(grid, s, g, fixed, 0, horizon)
-            path = space_time_astar(grid, s, g, rt)
+            path = space_time_astar(ReverseResumableAStar(grid, g), s, rt)
             if expected is None:
                 assert path is None
             else:
@@ -667,7 +670,7 @@ class TestSpaceTimeAstar:
             s = open_starts[int(rng.integers(len(open_starts)))]
             horizon = rt.last_time + grid.width * grid.height
             expected = time_expanded_shortest(grid, s, g, fixed, 0, horizon)
-            path = space_time_astar(grid, s, g, rt)
+            path = space_time_astar(ReverseResumableAStar(grid, g), s, rt)
             if expected is None:
                 assert path is None, (case, s, g)
                 sealed += case % 3 == 0
@@ -700,7 +703,7 @@ class TestSpaceTimeAstar:
         start, goal = (0, 1), (0, 7)
         horizon = rt.last_time + grid.width * grid.height
         expected = time_expanded_shortest(grid, start, goal, [held], 0, horizon)
-        path = space_time_astar(grid, start, goal, rt)
+        path = space_time_astar(ReverseResumableAStar(grid, goal), start, rt)
         assert len(grid.free_cells()) == 32
         assert expected == rt.last_time + 29 == 40
         assert path is not None and path.arrival_time == expected
@@ -717,7 +720,7 @@ class TestFreeDescent:
         rt = ReservationTable(grid)
         for p in fixed:
             rt.insert_path(p)
-        path = space_time_astar(grid, start, goal, rt)
+        path = space_time_astar(ReverseResumableAStar(grid, goal), start, rt)
         horizon = rt.last_time + grid.width * grid.height
         expected = tie_broken_space_time_path(grid, start, goal, fixed, horizon)
         assert (None if path is None else path.states) == expected

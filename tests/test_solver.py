@@ -15,6 +15,7 @@ from mapfkit import (
     Partitioning,
     ProblemInstance,
     ReservationTable,
+    ReverseResumableAStar,
     SolveFailure,
     SolveTimeout,
     TimedPath,
@@ -579,7 +580,8 @@ class TestBoundedSearch:
         rt = ReservationTable(inst.grid)
         rt.insert_path(TimedPath(0, ((25, 25, 0),)))
         t0 = time.perf_counter()
-        assert space_time_astar(inst.grid, (0, 0), (49, 49), rt, agent=1) is None
+        h = ReverseResumableAStar(inst.grid, (49, 49))
+        assert space_time_astar(h, (0, 0), rt, agent=1) is None
         assert time.perf_counter() - t0 < 0.5
 
     def test_timeout_cuts_a_long_search(self, monkeypatch):
