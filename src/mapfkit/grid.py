@@ -34,12 +34,14 @@ class MapFormatError(ValueError):
 
 def _integers(*values) -> bool:
     """True when every value is an integer, NumPy's included: a cell is two
-    of them, and ``(0.5, 0)`` or ``(1.0, 0)`` is none."""
+    of them, and ``(0.5, 0)``, ``(1.0, 0)`` or ``(True, 0)`` is none. A bool
+    is refused although ``operator.index`` takes it, because it prints as
+    ``True``, which no reader parses back as a number."""
     try:
         list(map(operator.index, values))
     except TypeError:
         return False
-    return True
+    return bool not in map(type, values)
 
 
 @dataclass(frozen=True)
@@ -97,23 +99,6 @@ class GridMap:
         ids = {self.cell_id(cell) for cell in self.obstacles}
         return _block(list(_open_table(self.width, self.height)), ids)
 
-    def with_obstacles(self, cells) -> "GridMap":
-        """This map with ``cells`` blocked too; raises ValueError for an
-        out-of-bounds cell.
-
-        If this map has built its neighbour table, the new map gets a copy
-        patched for the new obstacles, by the routine that builds every
-        table, instead of building its own. The result equals a map built
-        from scratch with the same obstacles.
-        """
-        added = set(cells) - self.obstacles
-        derived = GridMap(self.width, self.height, self.obstacles | added)
-        parent_table = self.__dict__.get("neighbor_table")
-        if parent_table is not None:
-            ids = {self.cell_id(cell) for cell in added}
-            derived.__dict__["neighbor_table"] = _block(list(parent_table), ids)
-        return derived
-
     def neighbors4(self, cell: Coord) -> tuple[Coord, ...]:
         """Free 4-neighbors of a free in-bounds cell (waits are the searcher's
         business, not the map's); raises ValueError for any other cell."""
@@ -144,14 +129,17 @@ def _open_table(width: int, height: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _block(table: list, ids: set[int]) -> list:
-    """Patch ``table`` in place so that the free cells ``ids`` become
-    obstacles: their entries become None, and they leave their neighbours'
-    tuples, whose order is kept. Returns ``table``."""
+    """Patch ``table`` in place so that the cells ``ids`` become obstacles,
+    in one pass: every id's entry becomes None first, then each neighbour
+    they touched rebuilds its tuple once, keeping the entries that are not
+    None, in their order. An id already None is left so; a cell that no id
+    touches keeps its tuple, shared or not. Returns ``table``."""
+    touched = set()
     for c in ids:
-        for nb in table[c]:
-            if nb not in ids:
-                table[nb] = tuple(n for n in table[nb] if n != c)
+        touched.update(table[c] or ())
         table[c] = None
+    for nb in touched.difference(ids):
+        table[nb] = tuple([n for n in table[nb] if table[n] is not None])
     return table
 
 
@@ -232,7 +220,7 @@ def generate_random_map(width: int, height: int, p_obstacle: float, seed=None) -
     rng = np.random.default_rng(seed)
     mask = rng.random((height, width)) < p_obstacle
     ys, xs = np.nonzero(mask)
-    return GridMap(width, height, frozenset((int(x), int(y)) for x, y in zip(xs, ys)))
+    return GridMap(width, height, frozenset(zip(xs.tolist(), ys.tolist())))
 
 
 def _block_starts(size: int, n_blocks: int) -> list[int]:

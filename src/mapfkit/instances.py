@@ -1,20 +1,20 @@
 """Guaranteed-solvable instance generation and MovingAI-style scenario I/O.
 
-Instances are built agent by agent on one work map: an endpoint pair is
-redrawn until a static path connects it on the work map, the committed pair
-is then blocked on the work map, and the committed path's cells leave the
-sampling pool. Endpoints chosen later therefore never sit on an earlier
-agent's path or endpoints, which is what makes prioritized planning succeed
-on these instances under every priority order. Each work map is derived
-from the previous one with ``GridMap.with_obstacles``, which patches the
-neighbour table around the two new obstacles instead of rebuilding it.
+Instances are built agent by agent: an endpoint pair is drawn from a
+sampling pool and redrawn until a static path connects it on a work map,
+the committed pair is then blocked on the work map, and the committed
+path's cells leave the pool. Endpoints chosen later therefore never sit on
+an earlier agent's path or endpoints, which is what makes prioritized
+planning succeed on these instances under every priority order. The pool is
+a boolean mask over flat ids, and the work map is one map per instance,
+private to the generator, whose neighbour table is patched in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Coord, GridMap
+from .grid import Coord, GridMap, _block
 from .search import astar_static
 from .solver import ProblemInstance
 
@@ -35,9 +35,15 @@ def generate_instance(grid: GridMap, n_agents: int, seed=None) -> ProblemInstanc
     """Draw a solvable ``n_agents`` instance on ``grid``; deterministic for a
     fixed seed.
 
-    Endpoint pairs are tested on a work map that starts as ``grid`` and,
-    through ``with_obstacles``, gains each committed agent's source and goal
-    as obstacles; ``grid`` itself is never changed.
+    The pool is a row-major mask over flat ids, seeded with ``grid``'s free
+    cells; its k-th set id is the k-th cell of the row-major list of free
+    cells off every committed path, the cell a draw of k picks. Pairs are
+    tested on a work map private to this call, whose neighbour table is a
+    copy of ``grid``'s with every committed source and goal blocked in
+    place. Its obstacle set may stay ``grid``'s: the searches ask
+    ``is_free`` only of the pair they are given, which comes from the pool,
+    and the pool never holds a committed path's cell. ``grid`` itself is
+    never changed.
 
     Each agent gets at most 10x the current pool size in redraws; running
     out raises GenerationError carrying how many agents were placed.
@@ -46,35 +52,36 @@ def generate_instance(grid: GridMap, n_agents: int, seed=None) -> ProblemInstanc
         raise ValueError("n_agents must be positive")
     rng = np.random.default_rng(seed)
     order = [int(v) for v in rng.permutation(n_agents)]
-    pool = grid.free_cells()
-    work_grid = grid
-    sources: dict[int, Coord] = {}
-    goals: dict[int, Coord] = {}
+    w = grid.width
+    pool = np.ones(w * grid.height, dtype=bool)
+    pool[[y * w + x for x, y in grid.obstacles]] = False
+    # reading grid's table builds it once, for the solves as well
+    work_grid = GridMap(w, grid.height, grid.obstacles)
+    work_grid.__dict__["neighbor_table"] = list(grid.neighbor_table)
+    placed: dict[int, tuple[Coord, Coord]] = {}
     for agent in order:
-        if len(pool) < 2:
-            raise GenerationError("free space exhausted", len(sources))
-        found = None
-        for _ in range(10 * len(pool)):
-            i = int(rng.integers(len(pool)))
-            j = int(rng.integers(len(pool)))
+        ids = np.flatnonzero(pool)
+        n = len(ids)
+        if n < 2:
+            raise GenerationError("free space exhausted", len(placed))
+        for _ in range(10 * n):
+            i = int(rng.integers(n))
+            j = int(rng.integers(n))
             if i == j:
                 continue
-            s, g = pool[i], pool[j]
+            a, b = int(ids[i]), int(ids[j])
+            s, g = (a % w, a // w), (b % w, b // w)
             path = astar_static(work_grid, s, g)
             if path is not None:
-                found = (s, g, path)
                 break
-        if found is None:
+        else:
             raise GenerationError(
-                f"no connected endpoint pair found for agent {agent}", len(sources)
+                f"no connected endpoint pair found for agent {agent}", len(placed)
             )
-        s, g, path = found
-        sources[agent] = s
-        goals[agent] = g
-        work_grid = work_grid.with_obstacles((s, g))
-        removed = set(path)
-        pool = [c for c in pool if c not in removed]
-    agents = tuple((sources[i], goals[i]) for i in range(n_agents))
+        placed[agent] = (s, g)
+        _block(work_grid.neighbor_table, {a, b})
+        pool[[y * w + x for x, y in path]] = False
+    agents = tuple(placed[i] for i in range(n_agents))
     metadata = {
         "seed": seed if isinstance(seed, int) else None,
         "generation_order": tuple(order),

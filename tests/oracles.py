@@ -391,3 +391,43 @@ def random_timed_path(rng, grid, agent, max_len=20, start_t=0):
     from mapfkit import TimedPath
 
     return TimedPath(agent, tuple(states))
+
+
+def reference_generate_instance(grid, n_agents, seed=None):
+    """Instance generation written plainly, as a parity reference for
+    ``generate_instance``: the same draws from the same generator over a
+    list pool of the free cells not yet on a committed path, filtered after
+    each agent, tested on a fresh map per agent that blocks every committed
+    source and goal, with paths from ``bfs_descent``. Returns ``(agents,
+    metadata)``, or raises the library's ``GenerationError`` with the
+    message and placed-agent count the generator gives."""
+    import numpy as np
+
+    from mapfkit import GenerationError, GridMap
+
+    rng = np.random.default_rng(seed)
+    order = [int(v) for v in rng.permutation(n_agents)]
+    w, h = grid.width, grid.height
+    pool = [(x, y) for y in range(h) for x in range(w) if (x, y) not in grid.obstacles]
+    endpoints = set()
+    sources, goals = {}, {}
+    for agent in order:
+        if len(pool) < 2:
+            raise GenerationError("free space exhausted", len(sources))
+        work = GridMap(w, h, grid.obstacles | endpoints)
+        path = None
+        for _ in range(10 * len(pool)):
+            i = int(rng.integers(len(pool)))
+            j = int(rng.integers(len(pool)))
+            if i != j:
+                path = bfs_descent(work, pool[i], pool[j])
+                if path is not None:
+                    break
+        if path is None:
+            raise GenerationError(f"no connected endpoint pair found for agent {agent}", len(sources))
+        sources[agent], goals[agent] = path[0], path[-1]
+        endpoints |= {path[0], path[-1]}
+        on_path = set(path)
+        pool = [c for c in pool if c not in on_path]
+    agents = tuple((sources[a], goals[a]) for a in range(n_agents))
+    return agents, {"seed": seed, "generation_order": tuple(order)}

@@ -295,6 +295,10 @@ class TestSegmentFields:
             (0, (0, 0), 0, "R"),
             (0, (0.5, 0), 0, "r"),
             (0, (0, 0), 1.5, ""),
+            # a bool would print as ``True``, which parse_encoded refuses
+            (True, (0, 0), 0, "r"),
+            (0, (False, 0), 0, "r"),
+            (0, (0, 0), True, ""),
         ],
     )
     def test_bad_field_refused_where_built(self, fields):

@@ -14,6 +14,7 @@ from mapfkit import (
     parse_movingai_map,
     serialize_movingai_map,
 )
+from mapfkit.grid import _block, _open_table
 
 
 def make_map_text(rows, kind="octile"):
@@ -288,15 +289,14 @@ class TestNeighbors:
 
     def test_a_cell_is_two_integers(self):
         grid = GridMap(4, 4)
-        for cell in ((0.5, 0), (1.0, 0), (0, 2.0), ("1", 0), (None, 0)):
+        for cell in ((0.5, 0), (1.0, 0), (0, 2.0), ("1", 0), (None, 0), (True, 0), (0, False)):
             assert not grid.is_free(cell)
         assert grid.is_free((np.int64(1), np.int32(2)))
-        assert grid.is_free((True, 0))  # a bool is an int
 
     def test_obstacle_of_two_integers_or_refused_where_built(self):
         # a pair that is no cell is refused with the map, before n_free or
         # the neighbour table, which indexes by it, can read it
-        for cell in ((0.5, 0), (1.0, 0), (0, "1")):
+        for cell in ((0.5, 0), (1.0, 0), (0, "1"), (True, 0)):
             with pytest.raises(ValueError, match="is not two integers"):
                 GridMap(3, 3, frozenset({cell}))
         grid = GridMap(3, 3, frozenset({(np.int64(1), np.int32(0))}))
@@ -308,54 +308,6 @@ class TestNeighbors:
         for cell in ((1, 0), (3, 0), (-1, 1), (0, 3)):
             with pytest.raises(ValueError):
                 grid.neighbors4(cell)
-
-
-def neighbor_table(grid):
-    """Every free cell's neighbour tuple, in the order the map gives it."""
-    return {c: grid.neighbors4(c) for c in grid.free_cells()}
-
-
-class TestWithObstacles:
-    def test_derivation_chain_matches_fresh_build(self):
-        rng = np.random.default_rng(5)
-        for _ in range(8):
-            w, h = (int(v) for v in rng.integers(2, 14, size=2))
-            grid = generate_random_map(w, h, 0.2, int(rng.integers(1 << 30)))
-            neighbor_table(grid)  # built, so every derivation below patches it
-            while grid.n_free > 0:
-                # any in-bounds cells, so some are blocked already
-                k = int(rng.integers(1, 4))
-                cells = [(int(rng.integers(w)), int(rng.integers(h))) for _ in range(k)]
-                derived = grid.with_obstacles(cells)
-                fresh = GridMap(w, h, grid.obstacles | set(cells))
-                assert derived == fresh
-                assert neighbor_table(derived) == neighbor_table(fresh)  # tuple order too
-                assert derived.neighbor_table == fresh.neighbor_table  # obstacles too
-                grid = derived
-
-    def test_parent_unchanged(self):
-        grid = generate_random_map(12, 9, 0.2, 3)
-        table = neighbor_table(grid)
-        obstacles = grid.obstacles
-        free = grid.free_cells()
-        grid.with_obstacles(free[::3])
-        assert grid.obstacles == obstacles
-        assert neighbor_table(grid) == table
-
-    def test_out_of_bounds_rejected(self):
-        grid = GridMap(4, 4)
-        neighbor_table(grid)
-        for cell in ((4, 0), (0, -1)):
-            with pytest.raises(ValueError):
-                grid.with_obstacles([(1, 1), cell])
-
-    def test_from_unbuilt_table(self):
-        grid = generate_random_map(10, 10, 0.2, 8)
-        cells = grid.free_cells()[::4]
-        derived = grid.with_obstacles(cells)
-        fresh = GridMap(10, 10, grid.obstacles | set(cells))
-        assert derived == fresh
-        assert neighbor_table(derived) == neighbor_table(fresh)
 
 
 def table_cell_by_cell(grid):
@@ -380,6 +332,33 @@ def table_cell_by_cell(grid):
                 nbrs.append(c - w)
             table.append(tuple(nbrs))
     return table
+
+
+class TestBlockInPlace:
+    def test_chains_match_fresh_build(self):
+        # what the generator does to its work table: block a few cells at a
+        # time in place on a copy of a built table
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            w, h = (int(v) for v in rng.integers(2, 14, size=2))
+            grid = generate_random_map(w, h, 0.2, int(rng.integers(1 << 30)))
+            table = list(grid.neighbor_table)
+            shared = _open_table(w, h)
+            blocked = set(grid.obstacles)
+            while len(blocked) < w * h:
+                # any in-bounds cells, so some are blocked already
+                k = int(rng.integers(1, 4))
+                cells = {(int(rng.integers(w)), int(rng.integers(h))) for _ in range(k)}
+                _block(table, {y * w + x for x, y in cells})
+                blocked |= cells
+                # list equality compares each tuple, so order counts too
+                assert table == table_cell_by_cell(GridMap(w, h, frozenset(blocked)))
+                for y in range(h):
+                    for x in range(w):
+                        near = {(x, y), (x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)}
+                        if not near & blocked:
+                            assert table[y * w + x] is shared[y * w + x]
+            assert grid.neighbor_table == table_cell_by_cell(grid)  # the copy only
 
 
 class TestNeighborTable:
@@ -421,8 +400,6 @@ class TestNeighborTable:
         assert table == table_cell_by_cell(first)
         second = generate_random_map(16, 11, 0.3, 5)
         assert second.neighbor_table == table_cell_by_cell(second)
-        derived = first.with_obstacles(first.free_cells()[::2])
-        assert derived.neighbor_table == table_cell_by_cell(derived)
         assert first.neighbor_table == table
         open_grid = GridMap(16, 11)
         assert open_grid.neighbor_table == table_cell_by_cell(open_grid)

@@ -15,6 +15,8 @@ from mapfkit import (
     write_instance_metadata,
     write_scenario,
 )
+from oracles import reference_generate_instance
+from test_grid import table_cell_by_cell
 
 
 class TestGenerateInstance:
@@ -80,6 +82,46 @@ class TestGenerateInstance:
     def test_no_agents_rejected(self):
         with pytest.raises(ValueError, match="n_agents must be positive"):
             generate_instance(GridMap(4, 4), 0, seed=0)
+
+    def test_matches_plain_reference(self):
+        # the pool mask and the work table blocked in place draw the same
+        # instances, and fail the same way, as a list pool and a fresh map
+        # per agent
+        rng = np.random.default_rng(31)
+        outcomes = {"placed": 0, "free space exhausted": 0, "no connected": 0}
+        for case in range(240):
+            # every third map is small, so that some draws exhaust the pool
+            w, h = (int(v) for v in rng.integers(2, 8 if case % 3 == 0 else 31, size=2))
+            grid = generate_random_map(w, h, float(rng.uniform(0, 0.4)), int(rng.integers(1 << 30)))
+            n_agents = int(rng.integers(1, max(1, min(grid.n_free, 20)) + 1))
+            seed = int(rng.integers(1 << 30))
+            try:
+                expected = reference_generate_instance(grid, n_agents, seed)
+            except GenerationError as want:
+                with pytest.raises(GenerationError) as got:
+                    generate_instance(grid, n_agents, seed)
+                assert str(got.value) == str(want)
+                assert got.value.n_generated == want.n_generated
+                outcomes["no connected" if "no connected" in str(want) else str(want)] += 1
+                continue
+            inst = generate_instance(grid, n_agents, seed)
+            assert (inst.agents, inst.metadata) == expected
+            outcomes["placed"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_input_map_left_alone(self):
+        # the work table is a copy: blocking it in place must not reach the
+        # map's own table, which every later solve on the map reads
+        for built in (False, True):
+            grid = generate_random_map(14, 11, 0.2, seed=6)
+            if built:
+                grid.neighbor_table
+            obstacles = grid.obstacles
+            first = generate_instance(grid, 8, seed=2)
+            assert grid.obstacles == obstacles
+            assert "neighbor_table" in grid.__dict__
+            assert grid.neighbor_table == table_cell_by_cell(grid)
+            assert generate_instance(grid, 8, seed=2).agents == first.agents
 
 
 class TestScenarioIO:

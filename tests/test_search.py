@@ -309,6 +309,7 @@ class TestReservationTable:
             lambda: rt.is_vertex_free((0, 0.0), 0),
             lambda: rt.is_move_free((0.5, 0), (1, 0), 0),
             lambda: rt.is_move_free((1, 0), (1.0, 1), 0),
+            lambda: rt.is_vertex_free((True, 0), 0),
         ):
             with pytest.raises(ValueError, match="is not two integers"):
                 query()
