@@ -3,13 +3,12 @@ collision reports, the intersection-graph type, connected components and
 whole-solution validation. ``solver`` runs the pipeline and merges reports.
 
 A path's final cell stays occupied after arrival (agents park at their
-goals), so detection extends final states forward in time up to the
-iteration horizon, but no later than the latest state time in the partition
-being checked. That bound is exact: a stay collides only with a state on its
-own cell, and that state lies in the same partition. Timed edges are checked
-in the partitions of both of their endpoints and deduplicated when reports
-merge, which is what makes partition-local detection equivalent to the
-all-pairs check.
+goals), so detection extends final states forward in time up to the latest
+state time in the partition being checked. That bound is exact: a stay
+collides only with a state on its own cell, and that state lies in the same
+partition. Timed edges are checked in the partitions of both of their
+endpoints and deduplicated when reports merge, which is what makes
+partition-local detection equivalent to the all-pairs check.
 """
 
 from __future__ import annotations
@@ -112,17 +111,14 @@ def _also_on(key, first: int, agent: int, crowded: dict, pairs: set) -> None:
     agents.append(agent)
 
 
-def detect_conflicts_in_partition(
-    segments: Sequence[SubpathSegment], horizon: int
-) -> ConflictReport:
+def detect_conflicts_in_partition(segments: Sequence[SubpathSegment]) -> ConflictReport:
     """Vertex, goal-stay and swap conflicts among one partition's segments.
 
-    A path's last segment parks on its final cell up to ``horizon`` (the
-    latest arrival over the round's paths), as ``validate_solution`` has it,
-    so the vertex pass finds goal-stay conflicts too. The stay ends earlier
-    when the segments' latest state time is earlier: a stay collides only
-    with a state on its own cell, which lies in this partition, so no later
-    stay time can collide. States past ``horizon`` are still checked.
+    A path's last segment parks on its final cell, as ``validate_solution``
+    has it, so the vertex pass finds goal-stay conflicts too. The stay ends
+    at the segments' latest state time: a stay collides only with a state on
+    its own cell, which lies in this partition, so no later stay time can
+    collide.
 
     Boundary moves (entry/exit of a segment) join swap detection here and in
     the neighboring partition alike; set semantics dedupe the double sighting
@@ -136,7 +132,7 @@ def detect_conflicts_in_partition(
     """
     if len(segments) < 2:
         return ConflictReport(frozenset())  # one agent has nobody to meet
-    end = min(horizon, max([seg.states[-1][2] for seg in segments]))
+    end = max([seg.states[-1][2] for seg in segments])
     at: dict[TimedState, int] = {}  # state -> first agent there
     on: dict[tuple[int, int, int], int] = {}  # step midpoint -> first agent on it
     crowded_at: dict[TimedState, list[int]] = {}

@@ -41,12 +41,19 @@ class TimedPath:
     states: tuple[TimedState, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if not self.states:
+        # plain ints are tested first: every path a search returns comes here
+        states = tuple(self.states)
+        object.__setattr__(self, "states", states)
+        if not states:
             raise ValueError("a timed path needs at least one state")
-        if self.states[0][2] < 0:
-            raise ValueError(f"agent {self.agent} path starts at t={self.states[0][2]}, before t=0")
-        for (x0, y0, t0), (x1, y1, t1) in zip(self.states, self.states[1:]):
+        x, y, t = states[0]
+        if not (type(x) is type(y) is type(t) is int) and not _integers(x, y, t):
+            raise ValueError(f"agent {self.agent} state {states[0]} is not three integers")
+        if t < 0:
+            raise ValueError(f"agent {self.agent} path starts at t={t}, before t=0")
+        for (x0, y0, t0), (x1, y1, t1) in zip(states, states[1:]):
+            if not (type(x1) is type(y1) is type(t1) is int) and not _integers(x1, y1, t1):
+                raise ValueError(f"agent {self.agent} state {(x1, y1, t1)} is not three integers")
             if t1 != t0 + 1:
                 raise ValueError("path times must advance by exactly 1")
             if abs(x1 - x0) + abs(y1 - y0) > 1:

@@ -170,13 +170,16 @@ class IterationRecord:
 class SolveTrace:
     """The variant's rounds and bits; callers time ``solve_variant`` themselves.
 
-    A restarted solve keeps the rounds of every failed attempt: their
-    searches ran and their bits were sent, so the ideal time and the ledger
-    count them. A restart's round one reuses the first attempt's candidates
-    and graph, so it runs no search, no split and no partition check, and
-    sends nothing that the server does not hold already. Its record has no
-    search, split or detect seconds, only its own server step, and its
-    ledger entry is ``IterationComm(0, 0, 0)``.
+    A restarted solve keeps the completed rounds of every failed attempt:
+    their searches ran and their bits were sent, so the ideal time and the
+    ledger count them. The round in which a search fails is not recorded:
+    its searches, the failed one included, show only in the caller's wall
+    time, and neither the ideal time nor the ledger counts them. A
+    restart's round one reuses the first attempt's candidates and graph, so
+    it runs no search, no split and no partition check, and sends nothing
+    that the server does not hold already. Its record has no search, split
+    or detect seconds, only its own server step, and its ledger entry is
+    ``IterationComm(0, 0, 0)``.
     """
 
     iterations: list[IterationRecord] = field(default_factory=list)
@@ -197,13 +200,11 @@ def partition_conflict_reports(
     dict[int, list[SubpathSegment]], dict[int, ConflictReport], dict[int, float], dict[int, float]
 ]:
     """A round's conflict step: split every path over ``part``, group the
-    segments by partition, and check each partition that holds one, up to the
-    latest arrival. Returns the segments by partition (every path's segments,
-    each once, in path order within a partition), the reports by increasing
-    partition id, the seconds of each agent's split, and each check's own
-    seconds. The ``conflicts`` primitives are called through this module's
-    names."""
-    paths = list(paths)
+    segments by partition, and check each partition that holds one. Returns
+    the segments by partition (every path's segments, each once, in path
+    order within a partition), the reports by increasing partition id, the
+    seconds of each agent's split, and each check's own seconds. The
+    ``conflicts`` primitives are called through this module's names."""
     by_partition: dict[int, list[SubpathSegment]] = {}
     split_seconds: dict[int, float] = {}
     for path in paths:
@@ -212,12 +213,11 @@ def partition_conflict_reports(
         split_seconds[path.agent] = time.perf_counter() - t0
         for seg in segments:
             by_partition.setdefault(seg.partition, []).append(seg)
-    horizon = max((p.arrival_time for p in paths), default=0)
     reports: dict[int, ConflictReport] = {}
     detect_seconds: dict[int, float] = {}
     for pid in sorted(by_partition):
         t0 = time.perf_counter()
-        reports[pid] = detect_conflicts_in_partition(by_partition[pid], horizon)
+        reports[pid] = detect_conflicts_in_partition(by_partition[pid])
         detect_seconds[pid] = time.perf_counter() - t0
     return by_partition, reports, split_seconds, detect_seconds
 
@@ -233,25 +233,30 @@ def build_intersection_graph(paths: Iterable[TimedPath], part: Partitioning) -> 
     return _merge(sorted(p.agent for p in paths), partition_conflict_reports(paths, part)[1])
 
 
-def _plan(
-    instance: ProblemInstance, agent: int, rt: ReservationTable,
-    heuristic: ReverseResumableAStar, deadline: float, timeout: float,
-) -> TimedPath:
-    """The one step both planners take per agent: its path against ``rt``.
-    SolveTimeout or SolveFailure names ``agent`` when ``deadline`` passes,
-    before the search or inside it, or when the search comes back empty; an
-    empty search against an empty table is final (see ``_with_restarts``)."""
-    if time.perf_counter() > deadline:
-        raise SolveTimeout(f"timed out after {timeout} s", agent=agent)
-    src = instance.agents[agent][0]
-    try:
-        path = space_time_astar(heuristic, src, rt, agent=agent, deadline=deadline)
-    except TimeoutError:
-        raise SolveTimeout(f"timed out after {timeout} s", agent=agent) from None
-    if path is None:
-        failure = _Unreachable if not rt.vertices else SolveFailure
-        raise failure(f"no feasible path for agent {agent}", agent=agent)
-    return path
+def _planner(instance: ProblemInstance, timeout: float):
+    """One solve's ``plan(agent, rt)``: the one step both planners take per
+    agent, its path against ``rt``. The budget starts now, and each agent's
+    distance heuristic is built once, here, for every attempt. SolveTimeout
+    or SolveFailure names ``agent`` when the deadline passes, before the
+    search or inside it, or when the search comes back empty; an empty
+    search against an empty table is final (see ``_with_restarts``)."""
+    deadline = time.perf_counter() + timeout
+    heuristics = [ReverseResumableAStar(instance.grid, goal) for _, goal in instance.agents]
+
+    def plan(agent: int, rt: ReservationTable) -> TimedPath:
+        if time.perf_counter() > deadline:
+            raise SolveTimeout(f"timed out after {timeout} s", agent=agent)
+        src = instance.agents[agent][0]
+        try:
+            path = space_time_astar(heuristics[agent], src, rt, agent=agent, deadline=deadline)
+        except TimeoutError:
+            raise SolveTimeout(f"timed out after {timeout} s", agent=agent) from None
+        if path is None:
+            failure = _Unreachable if not rt.vertices else SolveFailure
+            raise failure(f"no feasible path for agent {agent}", agent=agent)
+        return path
+
+    return plan
 
 
 def check_timeout(timeout: float) -> None:
@@ -262,17 +267,18 @@ def check_timeout(timeout: float) -> None:
         raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
 
 
-def _with_restarts(attempt, promoted: list[int]):
-    """Call ``attempt`` until it returns; after each SolveFailure, move the
-    failed agent to the front of ``promoted`` and call it again, at most
-    ``MAX_RESTARTS`` times. SolveTimeout is never retried, and neither is a
-    search that failed against an empty table: every attempt would repeat
-    it. When the attempts end in failure, the first attempt's failure is
-    raised."""
+def _with_restarts(attempt):
+    """Call ``attempt(promoted)`` until it returns, at most
+    ``MAX_RESTARTS + 1`` times. ``promoted`` lists the agents that failed so
+    far, newest first, each once; the first call gets none. SolveTimeout is
+    never retried, and neither is a search that failed against an empty
+    table: every attempt would repeat it. When the attempts end in failure,
+    the first attempt's failure is raised."""
+    promoted: list[int] = []
     first = None
     for _ in range(MAX_RESTARTS + 1):
         try:
-            return attempt()
+            return attempt(promoted)
         except SolveTimeout:
             raise
         except SolveFailure as exc:
@@ -281,9 +287,7 @@ def _with_restarts(attempt, promoted: list[int]):
             first = first or exc.with_traceback(None)
             if isinstance(exc, _Unreachable):
                 break
-            if exc.agent in promoted:
-                promoted.remove(exc.agent)
-            promoted.insert(0, exc.agent)
+            promoted = [exc.agent] + [a for a in promoted if a != exc.agent]
     raise first
 
 
@@ -311,25 +315,18 @@ def solve_hca(instance: ProblemInstance, order, timeout: float = DEFAULT_TIMEOUT
     order = [operator.index(a) for a in order]
     if sorted(order) != list(range(instance.n_agents)):
         raise ValueError("order must be a permutation of agent ids")
-    deadline = time.perf_counter() + timeout
-    heuristics = [ReverseResumableAStar(instance.grid, goal) for _, goal in instance.agents]
-    return _with_restarts(
-        lambda: _hca_attempt(instance, order, heuristics, deadline, timeout), order
-    )
+    plan = _planner(instance, timeout)
 
+    def attempt(promoted: list[int]) -> Solution:
+        rt = ReservationTable(instance.grid)
+        paths: dict[int, TimedPath] = {}
+        for agent in promoted + [a for a in order if a not in promoted]:
+            path = plan(agent, rt)
+            rt.insert_path(path)
+            paths[agent] = path
+        return Solution(paths)
 
-def _hca_attempt(
-    instance: ProblemInstance, order: list[int], heuristics: list[ReverseResumableAStar],
-    deadline: float, timeout: float,
-) -> Solution:
-    """One attempt of ``solve_hca``, from an empty table."""
-    rt = ReservationTable(instance.grid)
-    paths: dict[int, TimedPath] = {}
-    for agent in order:
-        path = _plan(instance, agent, rt, heuristics[agent], deadline, timeout)
-        rt.insert_path(path)
-        paths[agent] = path
-    return Solution(paths)
+    return _with_restarts(attempt)
 
 
 def solve_variant(
@@ -370,22 +367,19 @@ def solve_variant(
 
     part = Partitioning.for_map(grid, instance.n_agents)
     grid.neighbor_table  # build it now, outside the first agent's timed search
-    deadline = time.perf_counter() + timeout
-    heuristics = [ReverseResumableAStar(grid, goal) for _, goal in instance.agents]
-    promoted: list[int] = []
+    plan = _planner(instance, timeout)
     solution = _with_restarts(
-        lambda: _variant_attempt(instance, part, heuristics, promoted, trace, deadline, timeout),
-        promoted,
+        lambda promoted: _variant_attempt(instance, part, plan, promoted, trace)
     )
     return solution, trace
 
 
 def _variant_attempt(
-    instance: ProblemInstance, part: Partitioning, heuristics: list[ReverseResumableAStar],
-    promoted: list[int], trace: SolveTrace, deadline: float, timeout: float,
+    instance: ProblemInstance, part: Partitioning, plan, promoted: list[int], trace: SolveTrace
 ) -> Solution:
-    """One attempt of ``solve_variant``, from an empty table; its rounds are
-    appended to ``trace``, whose first round, if any, is reused."""
+    """One attempt of ``solve_variant`` with its ``_planner``, from an empty
+    table; its rounds are appended to ``trace``, whose first round, if any,
+    is reused."""
     grid = instance.grid
     n = instance.n_agents
     map_side = max(grid.width, grid.height)
@@ -406,7 +400,7 @@ def _variant_attempt(
             candidates = {}
             for agent in pending:
                 t0 = time.perf_counter()
-                candidates[agent] = _plan(instance, agent, rt, heuristics[agent], deadline, timeout)
+                candidates[agent] = plan(agent, rt)
                 search_seconds[agent] = time.perf_counter() - t0
 
             segments, reports, split_seconds, detect_seconds = partition_conflict_reports(

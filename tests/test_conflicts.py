@@ -110,15 +110,15 @@ class TestSubpathSegment:
         assert (seg.start_time, seg.length) == (0, 1)
 
 
-def reports_by_partition(paths, part, horizon):
+def reports_by_partition(paths, part):
     """Each partition's pairs, from split_path and detect_conflicts_in_partition
-    called directly, so that ``horizon`` may lie below the latest arrival."""
+    called directly."""
     by_part = {}
     for path in paths:
         for seg in split_path(path, part):
             by_part.setdefault(seg.partition, []).append(seg)
     return {
-        pid: detect_conflicts_in_partition(segs, horizon).pairs for pid, segs in by_part.items()
+        pid: detect_conflicts_in_partition(segs).pairs for pid, segs in by_part.items()
     }
 
 
@@ -141,15 +141,11 @@ class TestPartitionReports:
             n_agents = int(rng.integers(10, 13))
             paths = [random_timed_path(rng, grid, a, max_len=10) for a in range(n_agents)]
             latest = max(p.arrival_time for p in paths)
-            below = int(rng.integers(max(latest, 1)))
-            for horizon in (latest, below):
-                expected = brute_partition_pairs(paths, part.locate, horizon)
-                assert nonempty(reports_by_partition(paths, part, horizon)) == expected
-                filed += sum(len(pairs) for pairs in expected.values())
+            expected = brute_partition_pairs(paths, part.locate, latest)
+            assert nonempty(reports_by_partition(paths, part)) == expected
             _, reports, _, _ = partition_conflict_reports(paths, part)
-            assert nonempty({pid: r.pairs for pid, r in reports.items()}) == (
-                brute_partition_pairs(paths, part.locate, latest)
-            )
+            assert nonempty({pid: r.pairs for pid, r in reports.items()}) == expected
+            filed += sum(len(pairs) for pairs in expected.values())
         assert filed > 0
 
     def test_three_agents_on_one_state(self):
@@ -161,7 +157,7 @@ class TestPartitionReports:
             straight_path(1, [(3, 2), (2, 2), (1, 2)]),
             straight_path(2, [(2, 1), (2, 2), (2, 3)]),
         ]
-        reports = reports_by_partition(paths, part, horizon=2)
+        reports = reports_by_partition(paths, part)
         assert reports == {0: {(0, 1), (0, 2), (1, 2)}}
         assert nonempty(reports) == brute_partition_pairs(paths, part.locate, 2)
 
@@ -178,7 +174,7 @@ class TestPartitionReports:
             straight_path(1, [(5, 3), (6, 3)]),
             straight_path(2, [(6, 3), (5, 3)]),
         ]
-        reports = reports_by_partition(paths, part, horizon=1)
+        reports = reports_by_partition(paths, part)
         everyone = {(0, 1), (0, 2), (1, 2)}
         assert reports == {pid: everyone for pid in {part.locate((5, 3)), part.locate((6, 3))}}
         assert nonempty(reports) == brute_partition_pairs(paths, part.locate, 1)
@@ -191,7 +187,7 @@ class TestDetectConflicts:
         a = straight_path(0, [(1, 2), (2, 2)])
         b = straight_path(1, [(3, 2), (2, 2)])
         segs = split_path(a, part) + split_path(b, part)
-        report = detect_conflicts_in_partition(segs, horizon=1)
+        report = detect_conflicts_in_partition(segs)
         assert report.pairs == {(0, 1)}
 
     def test_swap_conflict(self):
@@ -200,7 +196,7 @@ class TestDetectConflicts:
         a = straight_path(0, [(0, 0), (1, 0)])
         b = straight_path(1, [(1, 0), (0, 0)])
         segs = split_path(a, part) + split_path(b, part)
-        assert detect_conflicts_in_partition(segs, horizon=1).pairs == {(0, 1)}
+        assert detect_conflicts_in_partition(segs).pairs == {(0, 1)}
 
     def test_goal_stay_extension(self):
         grid = GridMap(10, 10)
@@ -208,29 +204,16 @@ class TestDetectConflicts:
         a = straight_path(0, [(3, 2), (3, 3)])  # parks on (3, 3) at t=1
         b = straight_path(1, [(0, 3), (1, 3), (2, 3), (3, 3), (4, 3)])  # passes at t=3
         segs = split_path(a, part) + split_path(b, part)
-        report = detect_conflicts_in_partition(segs, horizon=4)
+        report = detect_conflicts_in_partition(segs)
         assert report.pairs == {(0, 1)}  # no shared explicit state, only the stay
 
-    def test_goal_stay_respects_horizon(self):
-        grid = GridMap(10, 10)
-        part = Partitioning.for_map(grid, 1)
-        a = straight_path(0, [(3, 2), (3, 3)])
-        b = straight_path(1, [(0, 3), (1, 3), (2, 3), (3, 3), (4, 3)])
-        report = detect_conflicts_in_partition(
-            split_path(a, part) + split_path(b, part), horizon=2
-        )
-        assert report.pairs == frozenset()  # visit at t=3 lies past the cap
-
-    def test_parked_agents_respect_horizon(self):
+    def test_parked_agent_meets_a_later_arrival(self):
         grid = GridMap(10, 10)
         part = Partitioning.for_map(grid, 1)
         a = straight_path(0, [(0, 3), (1, 3), (2, 3), (3, 3)])  # parks on (3, 3) at t=3
         b = straight_path(1, [(3, 7), (3, 6), (3, 5), (3, 4), (3, 3)])  # parks there at t=4
-        segs = split_path(a, part) + split_path(b, part)
-        for horizon, expected in ((2, set()), (4, {(0, 1)})):
-            report = detect_conflicts_in_partition(segs, horizon=horizon)
-            assert report.pairs == expected
-            assert report.pairs == brute_conflict_pairs([a, b], horizon)
+        report = detect_conflicts_in_partition(split_path(a, part) + split_path(b, part))
+        assert report.pairs == {(0, 1)} == brute_conflict_pairs([a, b])
 
     def test_boundary_swap_is_caught(self):
         grid = GridMap(12, 12)
@@ -336,10 +319,13 @@ class TestValidateSolution:
 
     def test_non_integer_state_reported(self):
         # agent 1 crosses the row in half steps; its endpoints, times and
-        # step lengths are all in order
+        # step lengths are all in order. TimedPath refuses such states, so
+        # they are written into a built path, as a caller could
         grid = GridMap(4, 4)
         a = straight_path(0, [(0, 0), (1, 0), (2, 0), (3, 0)])
-        b = straight_path(1, [(0, 1), (0.5, 1), (1.5, 1), (2.5, 1), (3, 1)])
+        b = straight_path(1, [(0, 1), (1, 1), (2, 1), (3, 1), (3, 1)])
+        half_steps = ((0, 1, 0), (0.5, 1, 1), (1.5, 1, 2), (2.5, 1, 3), (3, 1, 4))
+        object.__setattr__(b, "states", half_steps)
         violations = validate_solution({0: a, 1: b}, grid, own_endpoints(a, b))
         assert violations == [
             f"agent 1: state ({x}, 1, {t}) blocked or out of bounds"

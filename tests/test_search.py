@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -47,6 +48,26 @@ class TestTimedPath:
         # ("goal stay at (0, 0) from t=-2"); the path itself is the fault
         with pytest.raises(ValueError, match=r"agent 0 path starts at t=-3, before t=0"):
             ReservationTable(GridMap(3, 1)).insert_path(TimedPath(0, ((1, 0, -3), (0, 0, -2))))
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            ((0.5, 0, 0),),
+            ((0, 0, 0), (0, 0, 1.0)),
+            ((True, 0, 0),),
+            ((1, 0, 0), (True, 0, 1)),  # True == 1, so the step reads as a wait
+        ],
+    )
+    def test_rejects_states_that_are_not_integers(self, states):
+        # such a path used to build and reach a table, a split and the codec
+        bad = next(st for st in states if any(type(v) is not int for v in st))
+        with pytest.raises(ValueError, match=rf"agent 2 state {re.escape(str(bad))} is not"):
+            TimedPath(2, states)
+
+    def test_numpy_integer_states_accepted(self):
+        x, t = np.int64(1), np.int32(1)
+        path = TimedPath(0, ((0, 0, 0), (x, 0, t)))
+        assert path.goal == (1, 0) and path.cost == 1
 
 
 class TestAstarStatic:

@@ -88,6 +88,36 @@ def cut_off_instance():
     return ProblemInstance(grid, (((0, 0), (2, 0)), ((0, 1), (0, 2))))
 
 
+def fail_searches(monkeypatch, agents):
+    """Spy on ``mapfkit.solver.space_time_astar`` and make it come back
+    empty for each of ``agents`` in turn, at that agent's next search
+    against a non-empty table: one against an empty table would end the
+    solve. Returns the searches as ``(table, agent)`` pairs."""
+    pending = list(agents)
+    searched = []
+    search = mapfkit.solver.space_time_astar
+
+    def spy(heuristic, src, rt, **kwargs):
+        searched.append((rt, kwargs["agent"]))
+        if pending and rt.vertices and kwargs["agent"] == pending[0]:
+            pending.pop(0)
+            return None
+        return search(heuristic, src, rt, **kwargs)
+
+    monkeypatch.setattr(mapfkit.solver, "space_time_astar", spy)
+    return searched
+
+
+def per_table(searched):
+    """The searched agents of ``fail_searches``, one list per table."""
+    tables = []
+    for i, (rt, agent) in enumerate(searched):
+        if i == 0 or rt is not searched[i - 1][0]:
+            tables.append([])
+        tables[-1].append(agent)
+    return tables
+
+
 def check_wire(solution, trace, instance):
     """The benchmark's wire check (``perfbench/solving.py``): every final
     path packs and decodes intact, and the bits match ``rt_bits``."""
@@ -265,6 +295,15 @@ class TestSolveHca:
         assert searched == [0, 1, 1, 0]
         assert validate_solution(solution.paths, inst.grid, inst.agents) == []
 
+    def test_promotion_order_over_several_restarts(self, monkeypatch):
+        # agents 1, 0 and 1 again fail in turn: each attempt plans the
+        # failed agents newest first, each once, then the rest of the order
+        searched = fail_searches(monkeypatch, [1, 0, 1])
+        inst = crossing_pairs_instance()
+        solution = solve_hca(inst, [3, 2, 1, 0])
+        assert per_table(searched) == [[3, 2, 1], [1, 3, 2, 0], [0, 1], [1, 0, 3, 2]]
+        assert validate_solution(solution.paths, inst.grid, inst.agents) == []
+
     def test_heuristics_built_once_per_solve(self, monkeypatch):
         # the restart reuses each agent's distance heuristic
         built = []
@@ -390,9 +429,9 @@ class TestSolveVariant:
             splits.append(path.agent)
             return split(path, *args)
 
-        def counted_detect(segments, horizon):
+        def counted_detect(segments):
             checks.append({seg.partition for seg in segments})
-            return detect(segments, horizon)
+            return detect(segments)
 
         monkeypatch.setattr(mapfkit.solver, "split_path", counted_split)
         monkeypatch.setattr(mapfkit.solver, "detect_conflicts_in_partition", counted_detect)
@@ -449,6 +488,28 @@ class TestSolveVariant:
             (rec.ig.nodes, set(rec.independent)) for rec in trace.iterations
         ]
         assert [rec.ig.nodes for rec in trace.iterations] == [(0, 1), (0, 1), (0,)]
+
+    def test_promotion_order_over_several_restarts(self, monkeypatch):
+        # round one's graph has the edges (0, 1) and (2, 3), and every
+        # restart reuses it; agents 1, 0 and 1 again fail in turn in round
+        # two, and each round of an attempt passes independent_set the
+        # failed agents newest first, each once
+        fail_searches(monkeypatch, [1, 0, 1])
+        firsts = []
+        choose = mapfkit.solver.independent_set
+
+        def spy(g, first):
+            firsts.append(list(first))
+            return choose(g, first)
+
+        monkeypatch.setattr(mapfkit.solver, "independent_set", spy)
+        inst = crossing_pairs_instance()
+        solution, trace = solve_variant(inst)
+        assert firsts == [[], [1], [0, 1], [1, 0], [1, 0]]
+        assert [r.independent for r in trace.iterations] == [
+            (0, 2), (1, 2), (0, 2), (1, 2), (0, 3)
+        ]
+        assert validate_solution(solution.paths, inst.grid, inst.agents) == []
 
     def test_round_stops_at_first_failed_search(self, monkeypatch):
         # two walled-off corridors, each with a head-on pair: round one fixes
@@ -531,9 +592,9 @@ class TestSolveVariant:
             now[0] += split_s[path.agent]
             return split(path, part)
 
-        def slow_detect(segments, horizon):
+        def slow_detect(segments):
             now[0] += detect_s
-            return detect(segments, horizon)
+            return detect(segments)
 
         monkeypatch.setattr(mapfkit.solver, "time", SimpleNamespace(perf_counter=lambda: now[0]))
         monkeypatch.setattr(mapfkit.solver, "space_time_astar", slow_search)
