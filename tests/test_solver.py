@@ -88,6 +88,24 @@ def cut_off_instance():
     return ProblemInstance(grid, (((0, 0), (2, 0)), ((0, 1), (0, 2))))
 
 
+def crowded_instances(seed, count):
+    """``count`` instances of 20 agents on distinct random free sources and
+    goals of 10x10 maps, a tenth of each obstacles, as the benchmark's
+    ``crowd`` workload draws them at 24x24."""
+    rng = np.random.default_rng(seed)
+    while count:
+        grid = generate_random_map(10, 10, 0.1, seed=int(rng.integers(1 << 30)))
+        free = grid.free_cells()
+        cells = [free[int(i)] for i in rng.choice(len(free), size=40, replace=False)]
+        inst = ProblemInstance(grid, tuple(zip(cells[:20], cells[20:])))
+        try:
+            inst.validate()
+        except InvalidInstanceError:
+            continue
+        count -= 1
+        yield inst
+
+
 def fail_searches(monkeypatch, agents):
     """Spy on ``mapfkit.solver.space_time_astar`` and make it come back
     empty for each of ``agents`` in turn, at that agent's next search
@@ -569,6 +587,31 @@ class TestSolveVariant:
         assert again.candidate_paths == first.candidate_paths
         assert trace.ledger.iterations[1] == IterationComm(0, 0, 0)
         assert trace.ledger.iterations[0].path_bits > 0
+
+    def test_read_off_fails_against_every_non_empty_table(self, monkeypatch):
+        # After round one of an attempt, every pending agent's static
+        # descent meets the table: the independent set is maximal, so each
+        # pending agent's round-one candidate, which is its descent,
+        # collided with a path that is now fixed. Within an attempt the
+        # table only grows, and a restart's round one is the same descents.
+        # So a variant replan never gets its path from the read-off
+        descend = mapfkit.search._descend
+        read_offs = []
+
+        def spy(h, cell, rt):
+            cells = descend(h, cell, rt)
+            if rt is not None and rt.vertices:
+                read_offs.append(cells)
+            return cells
+
+        monkeypatch.setattr(mapfkit.search, "_descend", spy)
+        restarts = 0
+        for inst in crowded_instances(1, 6):
+            _, trace = solve_variant(inst)
+            # only a restart's round one records no search
+            restarts += sum(not r.search_seconds for r in trace.iterations)
+        assert restarts >= 1
+        assert read_offs and all(cells is None for cells in read_offs)
 
     def test_ideal_time_counts_each_agents_own_split(self, monkeypatch):
         # mapfkit.solver's clock moves only inside the wrapped searches,
