@@ -20,7 +20,10 @@ EXACT_THRESHOLD = 10
 def mis_exact(nodes: Collection[int], adj: Mapping[int, Set[int]]) -> set[int]:
     """Maximum independent set of ``nodes`` by branch-and-bound over
     include/exclude decisions; among maximum sets, the lexicographically
-    smallest sorted id tuple wins, so results are reproducible.
+    smallest sorted id tuple wins, so results are reproducible. Including a
+    node is tried before excluding it, over sorted ids, so sets of one size
+    are met in lexicographic order: the first set of the best size is kept,
+    and a subtree that can at most tie it is pruned.
 
     ``adj`` maps each node to its neighbours, and ``nodes`` must hold every
     neighbour of its members, as a connected component does. Raises
@@ -33,11 +36,10 @@ def mis_exact(nodes: Collection[int], adj: Mapping[int, Set[int]]) -> set[int]:
 
     def visit(remaining: tuple[int, ...], chosen: tuple[int, ...]) -> None:
         nonlocal best_size, best
-        if len(chosen) + len(remaining) < best_size:
-            return  # cannot reach the best size; ties must still be explored
+        if len(chosen) + len(remaining) <= best_size:
+            return  # cannot beat the best size; a tie would come later
         if not remaining:
-            if len(chosen) > best_size or (len(chosen) == best_size and chosen < best):
-                best_size, best = len(chosen), chosen
+            best_size, best = len(chosen), chosen
             return
         v = remaining[0]
         rest = remaining[1:]

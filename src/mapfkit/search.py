@@ -23,8 +23,9 @@ import heapq
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .grid import Coord, GridMap, _integers
+from .grid import OPEN_TABLE_CACHE_SIZE, Coord, GridMap, _integers
 
 TimedState = tuple[int, int, int]  # (x, y, t)
 
@@ -276,6 +277,12 @@ class ReverseResumableAStar:
 
     ``dist`` is indexed by flat cell id ``y * width + x`` and holds the
     distance of every settled cell, -1 for the rest.
+
+    A read-off (``_descend``) may resume the search only through a stop
+    level, to learn whether a cell is at one given distance: with a
+    consistent heuristic, every cell whose f is at most a used-up level has
+    settled. Such a resume stops where a level ends, with the open lists
+    intact, so a later query resumes from there.
     """
 
     def __init__(self, grid: GridMap, goal: Coord):
@@ -290,11 +297,16 @@ class ReverseResumableAStar:
         # settled cell's best g is exact, so no later relaxation beats it.
         self._best = [area] * area
         self._best[self._goal_id] = 0
-        # open cells at f and at f + 2, f keyed to _target
+        # open cells at f and at f + 2, f keyed to the target, the cell the
+        # first query aims the search at
         self._now: list[int] = []
         self._next: list[int] = []
         self._f = 0
-        self._target: tuple[int, int] | None = None
+        # x and y of each flat id, and the target's distance along x by
+        # column and along y by row; both empty until the search is aimed
+        self._xs, self._ys = _coordinates(grid.width, grid.height)
+        self._dx: list[int] = []
+        self._dy: list[int] = []
 
     @property
     def expanded(self) -> int:
@@ -309,28 +321,30 @@ class ReverseResumableAStar:
             return None
         return self._distance(self.grid.cell_id(cell))
 
-    def _distance(self, cell: int) -> int | None:
-        """``distance`` of the free cell with flat id ``cell``."""
+    def _distance(self, cell: int, stop: int = sys.maxsize) -> int | None:
+        """``distance`` of the free cell with flat id ``cell``. The search
+        resumes no further than the end of level ``stop``: None also means
+        that ``cell`` did not settle by then, so its f exceeds ``stop``."""
         dist = self.dist
         hit = dist[cell]
         if hit >= 0:
             return hit
-        grid = self.grid
-        w = grid.width
-        if self._target is None:
-            ty, tx = divmod(cell, w)
-            self._target = (tx, ty)
-            self._f = manhattan(self.goal, self._target)
+        xs, ys = self._xs, self._ys
+        if not self._dx:
+            grid, tx, ty = self.grid, xs[cell], ys[cell]
+            self._dx = [abs(x - tx) for x in range(grid.width)]
+            self._dy = [abs(y - ty) for y in range(grid.height)]
+            self._f = self._dx[xs[self._goal_id]] + self._dy[ys[self._goal_id]]
             self._now.append(self._goal_id)
-        tx, ty = self._target
-        table = grid.neighbor_table
+        dx, dy = self._dx, self._dy
+        table = self.grid.neighbor_table
         best = self._best
         now, later, f = self._now, self._next, self._f
         found = None
         while True:
             if not now:
-                if not later:
-                    break  # the goal's region is used up
+                if not later or f >= stop:
+                    break  # the goal's region or level stop is used up
                 now, later = later, now
                 f += 2
             node = now.pop()
@@ -345,7 +359,7 @@ class ReverseResumableAStar:
             for nb in table[node]:
                 if ng < best[nb]:
                     best[nb] = ng
-                    if abs(nb % w - tx) + abs(nb // w - ty) < h:
+                    if dx[xs[nb]] + dy[ys[nb]] < h:
                         now.append(nb)
                     else:
                         later.append(nb)
@@ -354,6 +368,13 @@ class ReverseResumableAStar:
                 break
         self._now, self._next, self._f = now, later, f
         return found
+
+
+@lru_cache(maxsize=OPEN_TABLE_CACHE_SIZE)
+def _coordinates(width: int, height: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """x and y of every flat id of a ``width x height`` map, shared by every
+    search on a map of that size (see ``grid._open_table``)."""
+    return tuple(range(width)) * height, tuple(y for y in range(height) for _ in range(width))
 
 
 def _descend(h: ReverseResumableAStar, cell: int, rt: ReservationTable | None) -> list[int] | None:
@@ -365,12 +386,15 @@ def _descend(h: ReverseResumableAStar, cell: int, rt: ReservationTable | None) -
     ``ReservationTable``). ``astar_static`` passes no table, and then no
     step is reserved.
 
-    A neighbour is settled only when no cheap test decides it. A grid is
-    bipartite, so a neighbour of a cell at distance d + 1 is at d or d + 2.
-    It is at d when it is settled at d, or when its best g is d, since no
-    path to it is shorter. It is at d + 2 when its Manhattan distance to the
-    goal exceeds d, or ``h._f`` minus its Manhattan distance to the search's
-    target does: an unsettled cell's f is at least ``h._f``.
+    A grid is bipartite, so a neighbour of a cell at distance d + 1 is at d
+    or d + 2. It is at d when it is settled at d, or when its best g is d,
+    since no path to it is shorter. It is at d + 2 when its Manhattan
+    distance to the goal exceeds d, or when its f at d, which is d plus its
+    Manhattan distance to the search's target, lies below ``h._f``: an
+    unsettled cell's f is at least ``h._f``. When no such test decides it,
+    the search resumes only through that f level, and the neighbour is at d
+    if it settles by then, else at d + 2; the search's level is not raised
+    past it.
     """
     d = h._distance(cell)
     if d is None:
@@ -378,10 +402,9 @@ def _descend(h: ReverseResumableAStar, cell: int, rt: ReservationTable | None) -
     grid = h.grid
     table = grid.neighbor_table
     dist, best, settle = h.dist, h._best, h._distance
-    w = grid.width
-    area = w * grid.height
-    gy, gx = divmod(h._goal_id, w)
-    tx, ty = h._target
+    xs, ys, dx, dy = h._xs, h._ys, h._dx, h._dy
+    area = grid.width * grid.height
+    gx, gy = xs[h._goal_id], ys[h._goal_id]
     # a table with no vertex holds no edge or stay either: it reserves no step
     vertices = None if rt is None else rt.vertices
     if vertices:
@@ -397,10 +420,13 @@ def _descend(h: ReverseResumableAStar, cell: int, rt: ReservationTable | None) -
                 continue
             if best[nb] == d:
                 break
-            y, x = divmod(nb, w)
-            if abs(x - gx) + abs(y - gy) > d or h._f - abs(x - tx) - abs(y - ty) > d:
+            x, y = xs[nb], ys[nb]
+            if abs(x - gx) + abs(y - gy) > d:
                 continue
-            if settle(nb) == d:
+            f = d + dx[x] + dy[y]  # nb's f if it is at d
+            if f < h._f:
+                continue
+            if settle(nb, f) == d:
                 break
         if vertices:
             t = len(path)
@@ -460,8 +486,9 @@ def space_time_astar(
     step of the smallest-id descent is free, the search walks exactly that
     descent and accepts it at the goal. So the descent is read off the
     distances first (``_descend``), each step tested against the table as it
-    is taken, and only the cells the read-off cannot bound settle. At the
-    first reserved step the read-off stops and the heap search runs from the
+    is taken. For a neighbour that no cheap bound decides, the heuristic's
+    search resumes only through the level that decides it. At the first
+    reserved step the read-off stops and the heap search runs from the
     start. It pops that same prefix first and settles every free neighbour
     of each state it pops, so the stopped read-off settled little that the
     search would not. An empty table reserves nothing, and there the

@@ -193,24 +193,38 @@ class TestReverseResumable:
         reachable = [c for c in free if expected[c] is not None]
         cut_off = [c for c in free if expected[c] is None]
         assert cut_off
+        # Every third query is followed by a read-off from a reachable
+        # cell, whose neighbour tests resume the search only through a stop
+        # level: the queries after it must resume where it stopped.
         h = ReverseResumableAStar(grid, goal)
+        rt = ReservationTable(grid)
         queries = [goal] if seed % 2 == 0 else []
         queries += [reachable[i] for i in rng.permutation(len(reachable))]
         queries += [cut_off[i] for i in rng.permutation(len(cut_off))]
         queries += [free[i] for i in rng.permutation(len(free))]
-        for cell in queries:
+        for i, cell in enumerate(queries):
             assert h.distance(cell) == expected[cell], cell
+            if i % 3 == 0:
+                start = reachable[int(rng.integers(len(reachable)))]
+                path = space_time_astar(h, start, rt)
+                assert path.cells() == bfs_descent(grid, start, goal), start
         assert h.expanded == len(reachable)
 
     def test_expansion_budget(self):
-        # across any query sequence, total settles never exceed the free-cell count
+        # across any sequence of queries and read-offs, total settles never
+        # exceed the free-cell count
         grid = generate_random_map(15, 15, 0.2, seed=4)
         free = grid.free_cells()
         h = ReverseResumableAStar(grid, free[0])
+        rt = ReservationTable(grid)
         rng = np.random.default_rng(1)
-        for _ in range(300):
-            h.distance(free[int(rng.integers(len(free)))])
-        assert h.expanded <= len(free)
+        for i in range(300):
+            cell = free[int(rng.integers(len(free)))]
+            if i % 2:
+                space_time_astar(h, cell, rt)
+            else:
+                h.distance(cell)
+            assert h.expanded <= len(free)
 
     def test_unreachable(self):
         grid = GridMap(3, 1, frozenset({(1, 0)}))
@@ -800,6 +814,40 @@ class TestFreeDescent:
         assert (3, 1, 3) not in parked.states
         assert not rt.is_vertex_free((3, 1), 3)
         assert path.cost == 6
+
+    def test_neighbour_into_a_dead_end_pocket_settles_one_level(self):
+        # The walls close the straight way, so the descent from S climbs
+        # column 16 to the wall at row 5. There its smaller-id neighbour
+        # (15, 6) is one Manhattan step closer to the goal and inside the
+        # start-goal rectangle, but it leads into the dead-end pocket of
+        # row 6, so it is at d + 2. Finishing the open level 22 decides that:
+        # 41 settles in all. Resuming until (15, 6) settles also floods the
+        # shadow below the pocket at level 24: 102 settles in all.
+        rows = (
+            "....................",
+            ".......G............",
+            "......###########...",
+            "......#.............",
+            "......#.........#...",
+            "......###########...",
+            "......#.............",
+            "......##########....",
+            "....................",
+            "....................",
+            "....................",
+            "....................",
+            "................S...",
+        )
+        cells = {(x, y): ch for y, row in enumerate(rows) for x, ch in enumerate(row)}
+        grid = GridMap(len(rows[0]), len(rows), frozenset(c for c, ch in cells.items() if ch == "#"))
+        start = next(c for c, ch in cells.items() if ch == "S")
+        goal = next(c for c, ch in cells.items() if ch == "G")
+        h = ReverseResumableAStar(grid, goal)
+        path = space_time_astar(h, start, ReservationTable(grid))
+        descent = bfs_descent(grid, start, goal)
+        assert path.cells() == descent
+        assert (16, 6) in descent and (15, 6) not in descent
+        assert h.expanded <= 50
 
     def test_goal_clearing_after_the_static_arrival(self):
         # agent 1 crosses the goal at t=6, after the descent would arrive
