@@ -1,11 +1,12 @@
-"""The segment codec: move symbols, start-time markers, exact bit costs and
-the packed wire form.
+"""The segment codec: move symbols, start-time markers, exact bit costs, the
+packed wire form, and the path files of the command line.
 
 Run from the repository root:  python3 demos/04_path_codec.py
 """
 
 from mapfkit import (
     SubpathSegment,
+    TimedPath,
     ceil_log2,
     decode_segment,
     encode_segment,
@@ -14,6 +15,7 @@ from mapfkit import (
     path_bits,
     unpack_segment,
 )
+from mapfkit.cli import read_paths, write_paths
 
 # (1) A subpath of agent 5 starting at (0, 0) at time 2. Symbols: r/l step x,
 #     u/d step y, w waits; the two leading n's carry the start time.
@@ -48,3 +50,9 @@ print(f"\npacked ({len(wire)} bytes): {wire.hex()}")
 back = unpack_segment(wire, 64, 12)
 assert (back.agent, back.start, back.start_time, back.moves) == (5, (0, 0), 2, enc.moves)
 print("unpacked agent/start/time/moves match the original")
+
+# (5) The command line's path files (--paths-out, validate --paths) are the
+#     text form, one line per agent; a line decodes to that agent's path.
+paths = {0: TimedPath(0, ((3, 1, 0), (3, 2, 1), (3, 3, 2), (4, 3, 3)))}
+print("\npath-file line:", write_paths(paths), end="")
+assert read_paths(write_paths(paths)) == paths

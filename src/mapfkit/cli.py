@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import BenchConfig, emit_csv, emit_plot_data, run_benchmark
+from .codec import decode_segment, encode_segment, parse_encoded
 from .comm import check_data_rate, comm_time
 from .conflicts import validate_solution
 from .grid import GridMap, generate_random_map, parse_movingai_map, serialize_movingai_map
@@ -57,30 +58,20 @@ def _load_instance(map_path: str, scen_path: str) -> ProblemInstance:
 
 
 def write_paths(paths: dict[int, TimedPath]) -> str:
-    """One line per agent: ``agent: x,y,t x,y,t ...``."""
-    lines = []
-    for agent in sorted(paths):
-        states = " ".join(f"{x},{y},{t}" for x, y, t in paths[agent].states)
-        lines.append(f"{agent}: {states}")
-    return "\n".join(lines) + "\n"
+    """One codec text line per agent, in agent order: ``EncodedSegment.text``."""
+    return "".join(encode_segment(paths[agent]).text() + "\n" for agent in sorted(paths))
 
 
 def read_paths(text: str) -> dict[int, TimedPath]:
-    """Inverse of ``write_paths``; an agent id listed twice is an error."""
+    """Inverse of ``write_paths``: the codec reads each non-blank line, and
+    raises CodecError for one it cannot write; an agent listed twice is an error."""
     paths: dict[int, TimedPath] = {}
     for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        head, _, rest = ln.partition(":")
-        agent = int(head)
-        if agent in paths:
-            raise ValueError(f"agent {agent}: listed twice")
-        states = tuple(
-            tuple(int(v) for v in token.split(",")) for token in rest.split()
-        )
-        if any(len(st) != 3 for st in states):
-            raise ValueError(f"agent {agent}: each state must be x,y,t")
-        paths[agent] = TimedPath(agent, states)  # type: ignore[arg-type]
+        if ln.strip():
+            path = decode_segment(parse_encoded(ln))
+            if path.agent in paths:
+                raise ValueError(f"agent {path.agent}: listed twice")
+            paths[path.agent] = path
     return paths
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conflicts import SubpathSegment
 from .grid import Coord, _integers
+from .search import TimedPath
 
 MOVE_OF_DELTA = {(1, 0): "r", (-1, 0): "l", (0, 1): "u", (0, -1): "d", (0, 0): "w"}
 DELTA_OF_MOVE = {v: k for k, v in MOVE_OF_DELTA.items()}
@@ -89,8 +89,9 @@ class EncodedSegment:
         )
 
 
-def encode_segment(seg: SubpathSegment) -> EncodedSegment:
-    """Turn a segment's timed states into header + move symbols."""
+def encode_segment(seg: TimedPath) -> EncodedSegment:
+    """Turn the timed states of any run with ``agent`` and ``states``, a
+    path or one of its segments, into header + move symbols."""
     sts = seg.states
     moves = []
     for (x0, y0, _), (x1, y1, _) in zip(sts, sts[1:]):
@@ -98,9 +99,9 @@ def encode_segment(seg: SubpathSegment) -> EncodedSegment:
     return EncodedSegment(seg.agent, sts[0][:2], sts[0][2], "".join(moves))
 
 
-def decode_segment(enc: EncodedSegment) -> SubpathSegment:
-    """Reconstruct the exact timed states from an encoded segment. The
-    partition id is not on the wire, so the segment carries -1."""
+def decode_segment(enc: EncodedSegment) -> TimedPath:
+    """Reconstruct the exact timed states from an encoded segment, as the
+    path they make: the wire names no partition."""
     x, y = enc.start
     t = enc.start_time
     states = [(x, y, t)]
@@ -108,7 +109,7 @@ def decode_segment(enc: EncodedSegment) -> SubpathSegment:
         dx, dy = DELTA_OF_MOVE[sym]
         x, y, t = x + dx, y + dy, t + 1
         states.append((x, y, t))
-    return SubpathSegment(enc.agent, -1, tuple(states))
+    return TimedPath(enc.agent, tuple(states))
 
 
 def _read_symbols(agent: int, start: Coord, symbols) -> EncodedSegment:

@@ -111,8 +111,9 @@ class GridMap:
 @lru_cache(maxsize=OPEN_TABLE_CACHE_SIZE)
 def _open_table(width: int, height: int) -> tuple[tuple[int, ...], ...]:
     """Neighbour tuples of the obstacle-free ``width x height`` map, in the
-    order (+x, -x, +y, -y) that fixes the searches' tie-breaking. Each id is
-    one int object, shared by every tuple that names it.
+    order (+x, -x, +y, -y), which decides no path: the searches break ties
+    on ids, so it picks only the extra cells RRA* settles. Each id is one
+    int object, shared by every tuple that names it.
 
     The cache keeps alive the tables of the ``OPEN_TABLE_CACHE_SIZE`` most
     recently used sizes, one tuple and one int per cell each (about 260 KB

@@ -282,7 +282,8 @@ class ReverseResumableAStar:
     level, to learn whether a cell is at one given distance: with a
     consistent heuristic, every cell whose f is at most a used-up level has
     settled. Such a resume stops where a level ends, with the open lists
-    intact, so a later query resumes from there.
+    intact, so a later query resumes from there. Every query leaves ``_f``
+    at the lowest level with an open entry, below which all are used up.
     """
 
     def __init__(self, grid: GridMap, goal: Coord):
@@ -323,8 +324,8 @@ class ReverseResumableAStar:
 
     def _distance(self, cell: int, stop: int = sys.maxsize) -> int | None:
         """``distance`` of the free cell with flat id ``cell``. The search
-        resumes no further than the end of level ``stop``: None also means
-        that ``cell`` did not settle by then, so its f exceeds ``stop``."""
+        resumes no further than the end of level ``stop`` (None also means
+        that ``cell``'s f exceeds it) and leaves ``_f`` at the lowest open level."""
         dist = self.dist
         hit = dist[cell]
         if hit >= 0:
@@ -366,6 +367,8 @@ class ReverseResumableAStar:
             if node == cell:
                 found = g
                 break
+        if not now and later:
+            now, later, f = later, now, f + 2  # keep f at the lowest open level
         self._now, self._next, self._f = now, later, f
         return found
 
@@ -390,10 +393,10 @@ def _descend(h: ReverseResumableAStar, cell: int, rt: ReservationTable | None) -
     or d + 2. It is at d when it is settled at d, or when its best g is d,
     since no path to it is shorter. It is at d + 2 when its Manhattan
     distance to the goal exceeds d, or when its f at d, which is d plus its
-    Manhattan distance to the search's target, lies below ``h._f``: an
-    unsettled cell's f is at least ``h._f``. When no such test decides it,
-    the search resumes only through that f level, and the neighbour is at d
-    if it settles by then, else at d + 2; the search's level is not raised
+    Manhattan distance to the search's target, lies below ``h._f``, in a
+    used-up level. When no such test decides it, the search resumes only
+    through that f level, which is still open: the neighbour is at d if it
+    settles by then, else at d + 2, and the search's level is not raised
     past it.
     """
     d = h._distance(cell)

@@ -13,6 +13,7 @@ from mapfkit import (
     BenchConfig,
     GridMap,
     ProblemInstance,
+    TimedPath,
     compare,
     emit_csv,
     emit_plot_data,
@@ -237,15 +238,23 @@ class TestPlotData:
 
 class TestPathsDump:
     def test_roundtrip(self):
-        grid = generate_random_map(10, 10, 0.1, seed=12)
-        inst = generate_instance(grid, 3, seed=13)
-        from mapfkit import solve_hca
+        from mapfkit import solve_hca, solve_variant
 
-        solution = solve_hca(inst, [0, 1, 2])
-        text = write_paths(solution.paths)
-        assert read_paths(text) == solution.paths
-        # blank lines, anywhere, are skipped
-        assert read_paths("\n" + text.replace("\n", "\n  \n") + "\n") == solution.paths
+        for seed in (12, 3):
+            inst = generate_instance(generate_random_map(12, 12, 0.15, seed), 6, seed + 1)
+            for solution in (solve_hca(inst, range(6)), solve_variant(inst)[0]):
+                text = write_paths(solution.paths)
+                assert read_paths(text) == solution.paths
+                # blank lines, anywhere, are skipped
+                assert read_paths("\n" + text.replace("\n", "\n  \n") + "\n") == solution.paths
+
+    def test_one_codec_line_per_agent(self):
+        paths = {
+            1: TimedPath(1, ((2, 2, 0), (2, 3, 1), (2, 3, 2))),
+            0: TimedPath(0, ((0, 0, 0), (1, 0, 1))),
+        }
+        assert write_paths(paths) == "0 0 0 r e\n1 2 2 u w e\n"
+        assert write_paths({}) == ""
 
 
 @pytest.fixture
@@ -378,7 +387,7 @@ class TestCli:
     def test_validate_rejects_corrupted_paths(self, tmp_path, instance_files):
         map_path, scen_path = instance_files
         bad = tmp_path / "bad.txt"
-        bad.write_text("0: 0,0,0 0,0,1\n")
+        bad.write_text("0 0 0 w e\n")
         code = main(
             ["validate", "--map", str(map_path), "--scen", str(scen_path), "--paths", str(bad)]
         )
@@ -394,7 +403,7 @@ class TestCli:
         paths_path = tmp_path / "paths.txt"
         map_path.write_text(serialize_movingai_map(grid))
         scen_path.write_text(write_scenario(inst, "one.map"))
-        paths_path.write_text("7: 4,4,0\n")
+        paths_path.write_text("7 4 4 e\n")
         result = run_from_checkout(
             "-m", "mapfkit", "validate", "--map", str(map_path), "--scen", str(scen_path),
             "--paths", str(paths_path),
@@ -413,7 +422,7 @@ class TestCli:
                 "--paths-out", str(paths_out),
             ]
         ) == 0
-        paths_out.write_text("0: 7,7,0\n" + paths_out.read_text())
+        paths_out.write_text("0 7 7 e\n" + paths_out.read_text())
         capsys.readouterr()
         code = main(
             ["validate", "--map", str(map_path), "--scen", str(scen_path), "--paths", str(paths_out)]
@@ -448,27 +457,41 @@ class TestCli:
                 assert main([command, "--map", str(map_path), "--scen", str(scen_path)]) == code
                 assert f"{prefix}: {message}" in capsys.readouterr().err
 
-    def test_validate_rejects_short_state(self, tmp_path, instance_files, capsys):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 1", "malformed header: ['0', '1']"),
+            ("0 1 2 r q e", "unknown symbol 'q'"),
+            ("0 1 2 r u", "missing terminator `e`"),
+            ("0 1 2 r e u", "trailing symbols after `e`"),
+        ],
+        ids=["short-header", "unknown-symbol", "missing-e", "after-e"],
+    )
+    def test_validate_rejects_malformed_line(self, tmp_path, instance_files, capsys, line, message):
+        # a line the codec cannot read is a malformed file, not a violation
+        # of the solution, and the error is the codec's
         map_path, scen_path = instance_files
-        bad = tmp_path / "short.txt"
-        bad.write_text("0: 1,2\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text(line + "\n")
         code = main(
             ["validate", "--map", str(map_path), "--scen", str(scen_path), "--paths", str(bad)]
         )
         assert code == 1
-        assert "agent 0: each state must be x,y,t" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_validate_rejects_time_before_zero(self, tmp_path, instance_files, capsys):
-        # no path starts before t=0, so such a line is a malformed file, not
-        # a violation of the solution
+    def test_validate_reports_late_start(self, tmp_path, instance_files, capsys):
+        # an ``n`` marker delays the path, which the validator reports
         map_path, scen_path = instance_files
-        bad = tmp_path / "early.txt"
-        bad.write_text("0: 1,2,-1 1,2,0\n")
-        code = main(
-            ["validate", "--map", str(map_path), "--scen", str(scen_path), "--paths", str(bad)]
-        )
-        assert code == 1
-        assert "error: agent 0 path starts at t=-1, before t=0" in capsys.readouterr().err
+        files = ["--map", str(map_path), "--scen", str(scen_path)]
+        paths_out = tmp_path / "paths.txt"
+        assert main(["solve-hca", *files, "--paths-out", str(paths_out)]) == 0
+        lines = paths_out.read_text().splitlines()
+        head = lines[0].split()
+        lines[0] = " ".join(head[:3] + ["n"] + head[3:])
+        paths_out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["validate", *files, "--paths", str(paths_out)]) == 2
+        assert "agent 0: starts at t=1, expected t=0" in capsys.readouterr().err.splitlines()
 
     def test_bad_data_rate_rejected_before_solving(self, instance_files, capsys):
         map_path, scen_path = instance_files

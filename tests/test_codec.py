@@ -228,14 +228,15 @@ class TestPackedWire:
             assert parse_encoded(enc.text()) == enc
 
     def test_partition_is_not_on_the_wire(self):
-        # the partition id is no part of the transmitted segment, so decoding
-        # must not depend on whether the segment went through the bitstream
+        # the partition id is no part of the transmitted segment, so a
+        # segment decodes, directly or through the bitstream, to the path
+        # its states make
         seg = SubpathSegment(5, 3, EXAMPLE_STATES)
         enc = encode_segment(seg)
         direct = decode_segment(enc)
         wired = decode_segment(unpack_segment(pack_segment(enc, 64, 12), 64, 12))
-        assert direct == wired
-        assert direct.states == EXAMPLE_STATES and direct.partition == -1
+        assert direct == wired == TimedPath(5, EXAMPLE_STATES)
+        assert type(direct) is TimedPath
 
     def test_out_of_range_rejected(self):
         # the header rule unpack_segment applies, with the codec's own error

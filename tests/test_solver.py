@@ -30,6 +30,7 @@ from mapfkit import (
     validate_solution,
 )
 
+import mapfkit.grid
 import mapfkit.search
 import mapfkit.solver
 from oracles import joint_min_makespan, time_expanded_shortest
@@ -798,6 +799,61 @@ def tiny_instances(seed, count):
             continue
         count -= 1
         yield inst
+
+
+class TestHeuristicReads:
+    @staticmethod
+    def generated(count):
+        for seed in range(count):
+            grid = generate_random_map(30, 30, 0.1, seed=seed)
+            yield generate_instance(grid, 12, seed)
+
+    def test_every_bounded_read_settles_a_cell(self, monkeypatch):
+        # A read-off resumes the heuristic only through a stop level at or
+        # above its lowest open level, so every such read settles a cell; a
+        # stop level already used up is decided before any call
+        distance = ReverseResumableAStar._distance
+        settled = []
+
+        def spy(h, cell, stop=sys.maxsize):
+            before = h.expanded
+            found = distance(h, cell, stop)
+            if stop != sys.maxsize:
+                settled.append(h.expanded - before)
+            return found
+
+        monkeypatch.setattr(ReverseResumableAStar, "_distance", spy)
+        for inst in self.generated(3):
+            solve_hca(inst, range(inst.n_agents))
+            solve_variant(inst)
+        assert settled and min(settled) >= 1
+
+    def test_neighbour_order_decides_no_path(self, monkeypatch):
+        # The searches break ties on ids, not on the order of a cell's
+        # neighbours, so shuffling every neighbour tuple moves no path; it
+        # may change only which extra cells the heuristic settles
+        instances = list(self.generated(3)) + list(crowded_instances(2, 3))
+        expected = [
+            (solve_hca(inst, range(inst.n_agents)).paths, solve_variant(inst)[0].paths)
+            for inst in instances
+        ]
+        open_table = mapfkit.grid._open_table
+        rng = np.random.default_rng(5)
+
+        def shuffled(width, height):
+            return tuple(
+                tuple(nbs[i] for i in rng.permutation(len(nbs)))
+                for nbs in open_table(width, height)
+            )
+
+        monkeypatch.setattr(mapfkit.grid, "_open_table", shuffled)
+        for inst, paths in zip(instances, expected):
+            grid = GridMap(inst.grid.width, inst.grid.height, inst.grid.obstacles)
+            assert grid.neighbor_table != inst.grid.neighbor_table
+            shuffled_inst = ProblemInstance(grid, inst.agents)
+            n = shuffled_inst.n_agents
+            assert solve_hca(shuffled_inst, range(n)).paths == paths[0]
+            assert solve_variant(shuffled_inst)[0].paths == paths[1]
 
 
 class TestTinyOracle:
