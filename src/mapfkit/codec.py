@@ -1,15 +1,15 @@
-"""Compact encoding for timed path segments and its exact bit accounting.
+"""Compact encoding for runs of timed states and its exact bit accounting.
 
-A segment is transmitted as a header (agent id, start cell) followed by one
-``n`` marker per unit of start time, one symbol per move and a terminating
-``e``. Move symbols step the coordinates: ``r``/``l`` are x+1/x-1, ``u``/``d``
-are y+1/y-1 (coordinate-based, not visual; the origin is top-left), and ``w``
-waits. Seven symbols fit in 3 bits each; header fields are fixed-width
-big-endian, ceil(log2 n_agents) bits for the agent id and ceil(log2 map_side)
-bits per coordinate. For a single-segment path of length L starting at t=0
-this comes to 3L + delta bits with delta = 3 + ceil(log2 n_agents) +
-2*ceil(log2 map_side), against 2*ceil(log2 map_side) per move for raw
-coordinate dumps.
+A run, a whole path or one of its segments, is transmitted as a header
+(agent id, start cell) followed by one ``n`` marker per unit of start time,
+one symbol per move and a terminating ``e``. Move symbols step the
+coordinates: ``r``/``l`` are x+1/x-1, ``u``/``d`` are y+1/y-1
+(coordinate-based, not visual; the origin is top-left), and ``w`` waits.
+Seven symbols fit in 3 bits each; header fields are fixed-width big-endian,
+ceil(log2 n_agents) bits for the agent id and ceil(log2 map_side) bits per
+coordinate. For a whole path of length L starting at t=0 this comes to
+3L + delta bits with delta = 3 + ceil(log2 n_agents) + 2*ceil(log2
+map_side), against 2*ceil(log2 map_side) per move for raw coordinate dumps.
 
 Each rule is stated once: ``EncodedSegment`` checks the fields, one reader
 holds the grammar both wire forms share, and one check fits the packed header.
@@ -147,20 +147,21 @@ def parse_encoded(text: str) -> EncodedSegment:
     return enc
 
 
-def path_bits(segments, n_agents: int, map_side: int) -> int:
-    """Bits to transmit path segments. Each costs the fixed-width header,
-    3 bits per ``n`` marker (one per unit of its absolute start time, which
-    also covers gapped or late-starting segments), and 3 bits per move plus
-    the terminator; one segment costs ``path_bits([seg], ...)``."""
+def path_bits(runs, n_agents: int, map_side: int) -> int:
+    """Bits to transmit the encoded form of each run of timed states, a
+    whole path or one of its segments. A run costs the fixed-width header
+    and 3 bits per symbol: one ``n`` marker per unit of its absolute start
+    time (which also covers gapped or late-starting segments), one per move
+    and the terminator, which makes one per state."""
     header = sum(header_widths(n_agents, map_side))
-    return sum(header + BITS_PER_SYMBOL * (seg.start_time + seg.length + 1) for seg in segments)
+    return sum(header + BITS_PER_SYMBOL * (run.start_time + len(run.states)) for run in runs)
 
 
 def pack_segment(enc: EncodedSegment, n_agents: int, map_side: int) -> bytes:
     """Pack to the canonical bitstream: big-endian fixed-width header, then
     3-bit symbols, zero-padded to a byte boundary. Before padding the length
-    in bits equals ``path_bits([enc], n_agents, map_side)`` exactly. It owns
-    this layout, and raises CodecError for a header out of range."""
+    in bits equals ``path_bits`` of the run it encodes exactly. It owns this
+    layout, and raises CodecError for a header out of range."""
     _check_header(enc.agent, enc.start, n_agents, map_side)
     acc = 0
     nbits = 0

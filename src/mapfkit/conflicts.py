@@ -24,7 +24,8 @@ from .search import TimedPath, TimedState
 
 @dataclass(slots=True)
 class SubpathSegment:
-    """Maximal run of consecutive path states inside one partition.
+    """Maximal run of consecutive path states inside one partition, as
+    ``split_path`` cuts it; a whole path is priced and encoded as itself.
 
     ``prev_state`` / ``next_state`` are the path states immediately outside
     the run (None at the path's ends); they carry the boundary-crossing moves

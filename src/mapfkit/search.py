@@ -30,10 +30,6 @@ from .grid import OPEN_TABLE_CACHE_SIZE, Coord, GridMap, _integers
 TimedState = tuple[int, int, int]  # (x, y, t)
 
 
-def manhattan(a: Coord, b: Coord) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
 @dataclass(frozen=True)
 class TimedPath:
     """One agent's timed trajectory from t >= 0: unit steps, waits allowed."""

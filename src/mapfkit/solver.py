@@ -435,8 +435,6 @@ def _variant_attempt(
         chosen_set = set(chosen)
         pending = [a for a in pending if a not in chosen_set]
 
-    # the final table goes out as one whole-path segment per agent
-    trace.ledger.rt_bits = path_bits(
-        [SubpathSegment(a, -1, p.states) for a, p in fixed.items()], n, map_side
-    )
+    # the final table goes out as one encoded path per agent
+    trace.ledger.rt_bits = path_bits(fixed.values(), n, map_side)
     return Solution(fixed)

@@ -25,6 +25,28 @@ def bfs_distances(grid, source):
     return dist
 
 
+def well_formed(instance):
+    """Whether an instance is well-formed (Čáp et al., IEEE T-ASE 2015): all
+    its sources and goals are pairwise distinct endpoints, and each agent
+    reaches its goal by BFS without entering another agent's endpoint."""
+    endpoints = [cell for pair in instance.agents for cell in pair]
+    if len(set(endpoints)) != len(endpoints):
+        return False
+    for source, goal in instance.agents:
+        others = set(endpoints) - {source, goal}
+        seen = {source}
+        frontier = deque([source])
+        while frontier and goal not in seen:
+            x, y = frontier.popleft()
+            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if nb not in seen and nb not in others and instance.grid.is_free(nb):
+                    seen.add(nb)
+                    frontier.append(nb)
+        if goal not in seen:
+            return False
+    return True
+
+
 def bfs_distance(grid, start, goal):
     """Plain BFS shortest distance on the static 4-connected map."""
     return bfs_distances(grid, goal).get(start)

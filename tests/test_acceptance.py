@@ -17,7 +17,7 @@ from mapfkit import (
     Partitioning,
     ReservationTable,
     ReverseResumableAStar,
-    SubpathSegment,
+    TimedPath,
     balanced_factorization,
     build_intersection_graph,
     ceil_log2,
@@ -148,13 +148,13 @@ def test_criterion_04_codec_fidelity():
         (0, 0, 2), (1, 0, 3), (1, 1, 4), (1, 1, 5), (2, 1, 6), (2, 0, 7),
         (3, 0, 8), (3, 1, 9), (3, 2, 10), (3, 3, 11), (2, 3, 12),
     )
-    seg = SubpathSegment(5, 0, states)
-    enc = encode_segment(seg)
+    path = TimedPath(5, states)
+    enc = encode_segment(path)
     assert enc.symbols() == "n n r u w r d r u u u l e".split()
-    assert decode_segment(enc).states == states
-    assert decode_segment(parse_encoded(enc.text())).states == states
+    assert decode_segment(enc) == path
+    assert decode_segment(parse_encoded(enc.text())) == path
 
-    # 1000 random segments round-trip
+    # 1000 random paths round-trip
     rng = np.random.default_rng(4004)
     for _ in range(1000):
         x, y = int(rng.integers(20, 60)), int(rng.integers(20, 60))
@@ -164,16 +164,15 @@ def test_criterion_04_codec_fidelity():
             dx, dy = [(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)][int(rng.integers(5))]
             x, y, t = x + dx, y + dy, t + 1
             sts.append((x, y, t))
-        s = SubpathSegment(int(rng.integers(64)), 0, tuple(sts))
-        out = decode_segment(encode_segment(s))
-        assert out.states == s.states and out.agent == s.agent
+        path = TimedPath(int(rng.integers(64)), tuple(sts))
+        assert decode_segment(encode_segment(path)) == path
 
-    # single-segment t=0 paths cost exactly 3L + delta
+    # whole t=0 paths cost exactly 3L + delta
     for n_agents, map_side in ((64, 100), (16, 50), (1, 12), (100, 1000)):
         delta = 3 + ceil_log2(n_agents) + 2 * ceil_log2(map_side)
         for length in (0, 1, 7, 31):
-            s = SubpathSegment(0, 0, tuple((i, 0, i) for i in range(length + 1)))
-            assert path_bits([s], n_agents, map_side) == 3 * length + delta
+            path = TimedPath(0, tuple((i, 0, i) for i in range(length + 1)))
+            assert path_bits([path], n_agents, map_side) == 3 * length + delta
     report(4, "codec fidelity", time.perf_counter() - t0, 30, True,
            "worked example + 1000 round-trips + 3L+delta")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,22 @@ EXAMPLE_STATES = (
     (0, 0, 2), (1, 0, 3), (1, 1, 4), (1, 1, 5), (2, 1, 6), (2, 0, 7),
     (3, 0, 8), (3, 1, 9), (3, 2, 10), (3, 3, 11), (2, 3, 12),
 )
-EXAMPLE_SEGMENT = SubpathSegment(5, 0, EXAMPLE_STATES)
+EXAMPLE_PATH = TimedPath(5, EXAMPLE_STATES)
 EXAMPLE_SYMBOLS = "n n r u w r d r u u u l e".split()
 # a symbol's 3-bit code is its index; the unused code 7 is written as "7"
 WIRE_CODES = "rludwne7"
+
+
+def random_path(rng):
+    """A path of up to 8 random moves or waits from a random cell of the
+    middle of a 30x30 map, starting at t = 0..4."""
+    x, y, t = int(rng.integers(10, 20)), int(rng.integers(10, 20)), int(rng.integers(0, 5))
+    states = [(x, y, t)]
+    for _ in range(int(rng.integers(0, 9))):
+        dx, dy = [(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)][int(rng.integers(5))]
+        x, y, t = x + dx, y + dy, t + 1
+        states.append((x, y, t))
+    return TimedPath(int(rng.integers(64)), tuple(states))
 
 
 def pack_codes(fields, codes, n_agents, map_side):
@@ -56,7 +70,7 @@ class TestCeilLog2:
 
 class TestEncodeDecode:
     def test_worked_example_stream(self):
-        enc = encode_segment(EXAMPLE_SEGMENT)
+        enc = encode_segment(EXAMPLE_PATH)
         assert enc.agent == 5
         assert enc.start == (0, 0)
         assert enc.start_time == 2
@@ -64,35 +78,23 @@ class TestEncodeDecode:
         assert enc.text() == "5 0 0 n n r u w r d r u u u l e"
 
     def test_worked_example_roundtrip(self):
-        seg = decode_segment(encode_segment(EXAMPLE_SEGMENT))
-        assert seg.agent == 5
-        assert seg.states == EXAMPLE_STATES
+        assert decode_segment(encode_segment(EXAMPLE_PATH)) == EXAMPLE_PATH
 
     def test_single_state_segment(self):
-        seg = SubpathSegment(3, 0, ((4, 4, 0),))
-        enc = encode_segment(seg)
+        path = TimedPath(3, ((4, 4, 0),))
+        enc = encode_segment(path)
         assert enc.symbols() == ["e"]
-        assert decode_segment(enc).states == ((4, 4, 0),)
+        assert decode_segment(enc) == path
 
     def test_zero_start_time_has_no_markers(self):
-        seg = SubpathSegment(0, 0, ((1, 1, 0), (2, 1, 1)))
-        assert encode_segment(seg).symbols() == ["r", "e"]
+        path = TimedPath(0, ((1, 1, 0), (2, 1, 1)))
+        assert encode_segment(path).symbols() == ["r", "e"]
 
     def test_random_roundtrips(self):
         rng = np.random.default_rng(17)
-        grid = GridMap(30, 30)
-        part = Partitioning.for_map(grid, 1)
         for _ in range(200):
-            x, y = int(rng.integers(10, 20)), int(rng.integers(10, 20))
-            t = int(rng.integers(0, 5))
-            states = [(x, y, t)]
-            for _ in range(int(rng.integers(0, 9))):
-                dx, dy = [(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)][int(rng.integers(5))]
-                x, y, t = x + dx, y + dy, t + 1
-                states.append((x, y, t))
-            seg = SubpathSegment(int(rng.integers(64)), 0, tuple(states))
-            out = decode_segment(encode_segment(seg))
-            assert out.states == seg.states and out.agent == seg.agent
+            path = random_path(rng)
+            assert decode_segment(encode_segment(path)) == path
 
 
 class TestParseEncoded:
@@ -128,16 +130,16 @@ class TestParseEncoded:
 
 class TestBitAccounting:
     def test_single_segment_from_zero(self):
-        seg = SubpathSegment(0, 0, tuple((i, 0, i) for i in range(11)))  # length 10
-        assert path_bits([seg], 64, 100) == 6 + 14 + 0 + 33
+        path = TimedPath(0, tuple((i, 0, i) for i in range(11)))  # length 10
+        assert path_bits([path], 64, 100) == 6 + 14 + 0 + 33
 
     def test_worked_example_bits(self):
         # length 10, start t=2, 64 agents, map side 12
-        assert path_bits([EXAMPLE_SEGMENT], 64, 12) == 6 + 8 + 6 + 33
+        assert path_bits([EXAMPLE_PATH], 64, 12) == 6 + 8 + 6 + 33
 
     def test_zero_length_segment(self):
-        seg = SubpathSegment(0, 0, ((4, 4, 0),))
-        assert path_bits([seg], 64, 100) == 6 + 14 + 3
+        path = TimedPath(0, ((4, 4, 0),))
+        assert path_bits([path], 64, 100) == 6 + 14 + 3
 
     def test_two_contiguous_segments(self):
         # lengths 4 and 6, tiling moves from t=0 (they share the boundary state)
@@ -165,18 +167,18 @@ class TestBitAccounting:
                 assert segs[k].start_time == sum(lengths[:k])
 
     def test_empty_path_costs_delta(self):
-        seg = SubpathSegment(0, 0, ((0, 0, 0),))
+        path = TimedPath(0, ((0, 0, 0),))
         delta = 3 + ceil_log2(64) + 2 * ceil_log2(100)
-        assert path_bits([seg], 64, 100) == delta
+        assert path_bits([path], 64, 100) == delta
 
     def test_beats_raw_encoding(self):
         # raw coordinates cost 2*ceil(log2 M) per move; symbols cost 3
         for map_side in (4, 12, 100, 1000):
             for length in (1, 5, 40):
-                seg = SubpathSegment(0, 0, tuple((i, 0, i) for i in range(length + 1)))
+                path = TimedPath(0, tuple((i, 0, i) for i in range(length + 1)))
                 delta = 3 + ceil_log2(64) + 2 * ceil_log2(map_side)
                 raw = 2 * ceil_log2(map_side) * length + delta
-                assert path_bits([seg], 64, map_side) < raw
+                assert path_bits([path], 64, map_side) < raw
 
     def test_path_bits_over_split_segments(self):
         grid = GridMap(12, 12)
@@ -190,16 +192,26 @@ class TestBitAccounting:
         # crossing move as well
         assert segs[1].start_time == 6
 
+    def test_whole_path_prices_as_its_one_part_split(self):
+        # a whole path and the one segment a one-part split makes of it
+        # cost the same, and the cost fits the packed bytes
+        rng = np.random.default_rng(23)
+        part = Partitioning.for_map(GridMap(30, 30), 1)
+        for _ in range(200):
+            path = random_path(rng)
+            bits = path_bits([path], 64, 30)
+            assert bits == path_bits(split_path(path, part), 64, 30)
+            assert math.ceil(bits / 8) == len(pack_segment(encode_segment(path), 64, 30))
+
 
 class TestPackedWire:
     def test_bit_length_matches_accounting(self):
-        enc = encode_segment(EXAMPLE_SEGMENT)
-        packed = pack_segment(enc, 64, 12)
-        bits = path_bits([enc], 64, 12)
+        packed = pack_segment(encode_segment(EXAMPLE_PATH), 64, 12)
+        bits = path_bits([EXAMPLE_PATH], 64, 12)
         assert (bits + 7) // 8 == len(packed)
 
     def test_roundtrip(self):
-        enc = encode_segment(EXAMPLE_SEGMENT)
+        enc = encode_segment(EXAMPLE_PATH)
         out = unpack_segment(pack_segment(enc, 64, 12), 64, 12)
         assert out.agent == enc.agent
         assert out.start == enc.start
@@ -272,12 +284,12 @@ class TestPackedWire:
     def test_nonzero_padding_rejected(self):
         enc = EncodedSegment(3, (1, 6), 0, "ru")
         packed = pack_segment(enc, 4, 8)
-        assert path_bits([enc], 4, 8) % 8 != 0  # the last byte carries padding
+        assert path_bits([decode_segment(enc)], 4, 8) % 8 != 0  # the last byte carries padding
         with pytest.raises(CodecError):
             unpack_segment(packed[:-1] + bytes([packed[-1] | 1]), 4, 8)
 
     def test_truncated_rejected(self):
-        enc = encode_segment(EXAMPLE_SEGMENT)
+        enc = encode_segment(EXAMPLE_PATH)
         packed = pack_segment(enc, 64, 12)
         for cut in (0, 1, 2):  # inside the 14-bit header, then before any `e`
             with pytest.raises(CodecError):
@@ -308,7 +320,7 @@ class TestSegmentFields:
 
     def test_negative_start_refused_at_encode_time(self):
         with pytest.raises(CodecError, match="negative header field"):
-            encode_segment(SubpathSegment(0, 0, ((-1, 0, 0), (0, 0, 1))))
+            encode_segment(TimedPath(0, ((-1, 0, 0), (0, 0, 1))))
 
 
 class TestOneGrammar:

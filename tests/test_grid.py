@@ -303,6 +303,11 @@ class TestNeighbors:
         assert grid.n_free == 8 and not grid.is_free((1, 0))
         assert len(grid.neighbor_table) == 9
 
+    @pytest.mark.parametrize("cell", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_obstacle_off_the_map_refused(self, cell):
+        with pytest.raises(ValueError, match=r"obstacle .* out of bounds"):
+            GridMap(3, 3, frozenset({cell}))
+
     def test_rejects_blocked_and_off_map_cells(self):
         grid = GridMap(3, 3, frozenset({(1, 0)}))
         for cell in ((1, 0), (3, 0), (-1, 1), (0, 3)):

@@ -5,6 +5,7 @@ from mapfkit import (
     GenerationError,
     GridMap,
     InvalidInstanceError,
+    ProblemInstance,
     ScenarioFormatError,
     generate_instance,
     generate_random_map,
@@ -15,7 +16,7 @@ from mapfkit import (
     write_instance_metadata,
     write_scenario,
 )
-from oracles import reference_generate_instance
+from oracles import reference_generate_instance, well_formed
 from test_grid import table_cell_by_cell
 
 
@@ -66,6 +67,33 @@ class TestGenerateInstance:
             for _ in range(3):
                 order = [int(a) for a in rng.permutation(5)]
                 solve_hca(inst, order)  # raises on failure
+
+    @pytest.mark.parametrize("side, n_agents", [(50, 16), (24, 40), (16, 30)])
+    def test_generated_instances_are_well_formed(self, side, n_agents):
+        # the generator blocks committed endpoints and keeps committed paths
+        # out of its pool, so every agent can go home around the others
+        generated = 0
+        for seed in range(4):
+            grid = generate_random_map(side, side, 0.1, seed=seed)
+            try:
+                inst = generate_instance(grid, n_agents, seed=seed)
+            except GenerationError:
+                continue
+            assert well_formed(inst), (side, n_agents, seed)
+            generated += 1
+        assert generated >= 3
+
+    def test_well_formed_oracle_rejects(self):
+        # the smallest instance the variant fails and HCA solves: agent 1's
+        # goal is agent 2's source
+        shared = ProblemInstance(
+            GridMap(2, 3), (((1, 1), (0, 1)), ((0, 0), (1, 2)), ((1, 2), (1, 0)))
+        )
+        # distinct endpoints, but agent 0 must pass agent 1's source
+        blocked = ProblemInstance(GridMap(5, 1), (((0, 0), (4, 0)), ((2, 0), (3, 0))))
+        detour = ProblemInstance(GridMap(5, 2), (((0, 0), (4, 0)), ((2, 0), (3, 0))))
+        assert not well_formed(shared) and not well_formed(blocked)
+        assert well_formed(detour)
 
     def test_exhaustion_raises(self):
         grid = GridMap(2, 2, frozenset({(0, 0), (1, 1)}))

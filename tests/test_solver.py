@@ -24,6 +24,7 @@ from mapfkit import (
     compare,
     generate_instance,
     generate_random_map,
+    path_bits,
     solve_hca,
     solve_variant,
     space_time_astar,
@@ -436,6 +437,17 @@ class TestSolveVariant:
         assert len(trace.ledger.iterations) == trace.n_iterations
         assert trace.ledger.rt_bits > 0
         assert all(it.path_bits > 0 for it in trace.ledger.iterations)
+
+    def test_final_table_priced_as_the_fixed_paths(self):
+        # the final table goes out as one encoded path per agent, also after
+        # a restart has fixed the paths over again
+        restarts = 0
+        for inst in crowded_instances(1, 6):
+            solution, trace = solve_variant(inst)
+            restarts += sum(not r.search_seconds for r in trace.iterations)
+            side = max(inst.grid.width, inst.grid.height)
+            assert trace.ledger.rt_bits == path_bits(solution.paths.values(), inst.n_agents, side)
+        assert restarts >= 1
 
     def test_graph_and_rounds_share_one_conflict_pipeline(self, monkeypatch):
         # build_intersection_graph and every solve_variant round split and
